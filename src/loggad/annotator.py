@@ -7,6 +7,14 @@ per-layer sums of node representations (layer 0 is the raw features) and a
 linear head maps that to 2 logits. Forward, backward and the optimizer are
 plain numpy; gradients are checked against finite differences in tests.
 
+The kernel is batched: one forward and one backward pass per minibatch. The
+node rows of a batch's subgraphs are stacked, each subgraph's own adjacency
+block is applied to its rows, and the readout is a segment sum per
+subgraph. The first MLP weight is applied before aggregating, which is the
+same map by linearity and keeps the |V|+2-wide one-hot features out of the
+message passing. A single subgraph is a batch of one; training, the
+tests and ``annotate`` all run this one pass.
+
 Training happens in two phases: self-supervised pre-training on random-walk
 subgraphs (predict the walk's start class), then fine-tuning on sequence
 subgraphs against decisive keyword-count votes, with the previous
@@ -24,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from loggad import nn
-from loggad.graph import EventGraph, Subgraph, induce_sequence_subgraph
+from loggad.graph import EventGraph, induce_sequence_subgraph
 from loggad.ingest import LogSequence
 from loggad.keywords import ANOMALY, NORMAL, KeywordSet
 from loggad.walks import WalkSampler
@@ -75,16 +83,6 @@ class AnnotatorModel:
             identity_mode=identity_mode,
         )
 
-    def copy(self) -> "AnnotatorModel":
-        return AnnotatorModel(
-            params={k: v.copy() for k, v in self.params.items()},
-            n_layers=self.n_layers,
-            hidden=self.hidden,
-            in_dim=self.in_dim,
-            vocab_hash=self.vocab_hash,
-            identity_mode=self.identity_mode,
-        )
-
     def save(self, path) -> None:
         nn.save_checkpoint(
             path,
@@ -122,94 +120,132 @@ class PseudoLabel:
     flagged: bool = False  # fallback path was taken
 
 
-def node_representations(model: AnnotatorModel, sg: Subgraph) -> list[np.ndarray]:
-    """Per-layer node representation matrices R^(0..K). Used by forward
-    and exposed for the layer-reduction tests."""
-    if sg.is_empty:
+def _as_batch(sgs) -> tuple[list, bool]:
+    """(subgraphs, single): one subgraph is a batch of one."""
+    if isinstance(sgs, (list, tuple)):
+        return list(sgs), False
+    return [sgs], True
+
+
+@dataclass
+class _Pass:
+    """One batched forward pass, kept for the backward pass.
+
+    The node rows of all subgraphs are stacked; subgraph b owns rows
+    ``starts[b]`` to ``starts[b] + sizes[b]`` and message passing applies its
+    own adjacency block to them.
+    """
+
+    adjacency: list[np.ndarray]
+    starts: np.ndarray
+    sizes: np.ndarray
+    reps: list[np.ndarray]  # R^(0..K), stacked node rows
+    layers: list[tuple[np.ndarray, Optional[np.ndarray]]]  # per layer: H, tanh output T
+    readout: np.ndarray  # (B, readout_dim)
+    logits: np.ndarray  # (B, 2)
+
+    def aggregate(self, H: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Each subgraph's adjacency (or its transpose) times its own rows of H."""
+        out = np.empty_like(H)
+        for A, s in zip(self.adjacency, self.starts):
+            rows = slice(s, s + A.shape[0])
+            np.matmul(A.T if transpose else A, H[rows], out=out[rows])
+        return out
+
+
+def _forward_pass(model: AnnotatorModel, sgs: list) -> _Pass:
+    """Only ``.features``, ``.adjacency`` and ``.is_empty`` of a subgraph are read."""
+    if not sgs:
+        raise AnnotatorError("cannot run the annotator on an empty batch")
+    if any(sg.is_empty for sg in sgs):
         raise AnnotatorError("cannot run the annotator on an empty subgraph")
-    X = sg.features
+    X = sgs[0].features if len(sgs) == 1 else np.concatenate([sg.features for sg in sgs])
     if X.shape[1] != model.in_dim:
         raise AnnotatorError(
             f"feature width {X.shape[1]} does not match model in_dim {model.in_dim}"
         )
-    A = sg.adjacency
-    reps = [X]
-    for k in range(1, model.n_layers + 1):
-        eps = model.params[f"eps{k}"][0]
-        Z = A @ reps[-1] + (1.0 + eps) * reps[-1]
-        if model.identity_mode:
-            reps.append(Z)
-        else:
-            T = np.tanh(Z @ model.params[f"W1_{k}"] + model.params[f"b1_{k}"])
-            reps.append(T @ model.params[f"W2_{k}"] + model.params[f"b2_{k}"])
-    return reps
-
-
-def forward(model: AnnotatorModel, sg: Subgraph) -> np.ndarray:
-    """2-class logits for a subgraph."""
-    reps = node_representations(model, sg)
-    readout = np.concatenate([R.sum(axis=0) for R in reps])
-    return readout @ model.params["head_W"] + model.params["head_b"]
-
-
-def loss_and_grads(
-    model: AnnotatorModel, sg: Subgraph, target: int
-) -> tuple[float, nn.Params]:
-    """Cross-entropy loss and analytic gradients for one (subgraph, class)."""
-    if sg.is_empty:
-        raise AnnotatorError("cannot train on an empty subgraph")
-    X = sg.features
-    A = sg.adjacency
+    adjacency = [sg.adjacency for sg in sgs]
+    sizes = np.array([A.shape[0] for A in adjacency])
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    fp = _Pass(adjacency, starts, sizes, [X], [], np.empty(0), np.empty(0))
     p = model.params
-    K = model.n_layers
-
-    reps = [X]
-    caches = []
-    for k in range(1, K + 1):
-        eps = p[f"eps{k}"][0]
-        Z = A @ reps[-1] + (1.0 + eps) * reps[-1]
+    for k in range(1, model.n_layers + 1):
+        # (A R + (1+eps) R) W1 == A (R W1) + (1+eps) (R W1): multiplying by W1
+        # first keeps the |V|+2-wide features out of the aggregation
+        H = fp.reps[-1] if model.identity_mode else fp.reps[-1] @ p[f"W1_{k}"]
+        Z = fp.aggregate(H)
+        Z += (1.0 + p[f"eps{k}"][0]) * H
         if model.identity_mode:
-            caches.append((Z, None))
-            reps.append(Z)
+            fp.layers.append((H, None))
+            fp.reps.append(Z)
         else:
-            T = np.tanh(Z @ p[f"W1_{k}"] + p[f"b1_{k}"])
-            R = T @ p[f"W2_{k}"] + p[f"b2_{k}"]
-            caches.append((Z, T))
-            reps.append(R)
-    readout = np.concatenate([R.sum(axis=0) for R in reps])
-    logits = readout @ p["head_W"] + p["head_b"]
-    loss, dlogits = nn.cross_entropy(logits, target)
+            Z += p[f"b1_{k}"]
+            T = np.tanh(Z, out=Z)
+            fp.layers.append((H, T))
+            R = T @ p[f"W2_{k}"]
+            R += p[f"b2_{k}"]
+            fp.reps.append(R)
+    fp.readout = np.concatenate([np.add.reduceat(R, starts, axis=0) for R in fp.reps], axis=1)
+    fp.logits = fp.readout @ p["head_W"] + p["head_b"]
+    return fp
 
-    grads = nn.zeros_like_params(p)
-    grads["head_W"] = np.outer(readout, dlogits)
-    grads["head_b"] = dlogits.copy()
-    dreadout = p["head_W"] @ dlogits
 
-    # Split readout gradient back into per-layer row-broadcast gradients.
-    dims = [R.shape[1] for R in reps]
-    offsets = np.cumsum([0] + dims)
-    dreps = [
-        np.tile(dreadout[offsets[k] : offsets[k + 1]], (reps[k].shape[0], 1))
-        for k in range(K + 1)
-    ]
+def node_representations(model: AnnotatorModel, sgs) -> list[np.ndarray]:
+    """Per-layer node representation matrices R^(0..K) of a subgraph, or of
+    a list of subgraphs with their node rows stacked in order. Exposed for
+    the layer-reduction tests."""
+    return _forward_pass(model, _as_batch(sgs)[0]).reps
 
-    for k in range(K, 0, -1):
-        Z, T = caches[k - 1]
-        dR = dreps[k]
-        if model.identity_mode:
-            dZ = dR
-        else:
-            grads[f"W2_{k}"] += T.T @ dR
-            grads[f"b2_{k}"] += dR.sum(axis=0)
-            dT = dR @ p[f"W2_{k}"].T
-            dU = dT * (1.0 - T * T)
-            grads[f"W1_{k}"] += Z.T @ dU
-            grads[f"b1_{k}"] += dU.sum(axis=0)
-            dZ = dU @ p[f"W1_{k}"].T
-        eps = p[f"eps{k}"][0]
-        grads[f"eps{k}"] += np.sum(dZ * reps[k - 1])
-        dreps[k - 1] = dreps[k - 1] + A.T @ dZ + (1.0 + eps) * dZ
-    return loss, grads
+
+def forward(model: AnnotatorModel, sgs) -> np.ndarray:
+    """2-class logits: (2,) for a subgraph, (B, 2) for a list of B subgraphs."""
+    batch, single = _as_batch(sgs)
+    logits = _forward_pass(model, batch).logits
+    return logits[0] if single else logits
+
+
+def loss_and_grads(model: AnnotatorModel, sgs, targets) -> tuple[float, nn.Params]:
+    """Mean cross-entropy loss and its analytic gradients over a batch.
+
+    ``sgs`` is a subgraph with an int target, or a list of subgraphs with
+    one target each.
+    """
+    batch, _ = _as_batch(sgs)
+    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    if targets.shape != (len(batch),):
+        raise AnnotatorError(f"{targets.size} targets for {len(batch)} subgraphs")
+    fp = _forward_pass(model, batch)
+    p = model.params
+    loss, dlogits = nn.cross_entropy(fp.logits, targets)
+
+    grads: nn.Params = {"head_W": fp.readout.T @ dlogits, "head_b": dlogits.sum(axis=0)}
+    dreadout = dlogits @ p["head_W"].T
+    offsets = np.cumsum([0] + [R.shape[1] for R in fp.reps])
+    fp.reps.pop()  # R^(K) is only read out
+    dR = None  # gradient reaching R^(k) from layer k+1
+    # each forward array is dropped once its layer is done, to keep the peak low
+    for k in range(model.n_layers, 0, -1):
+        H, T = fp.layers.pop()
+        # every node row of a subgraph gets its subgraph's readout gradient
+        dZ = np.repeat(dreadout[:, offsets[k] : offsets[k + 1]], fp.sizes, axis=0)
+        if dR is not None:
+            dZ += dR
+        if not model.identity_mode:
+            grads[f"W2_{k}"] = T.T @ dZ
+            grads[f"b2_{k}"] = dZ.sum(axis=0)
+            dZ = dZ @ p[f"W2_{k}"].T
+            dZ *= 1.0 - T * T
+            grads[f"b1_{k}"] = dZ.sum(axis=0)
+        grads[f"eps{k}"] = np.array([np.vdot(dZ, H)])
+        dH = fp.aggregate(dZ, transpose=True)
+        dH += (1.0 + p[f"eps{k}"][0]) * dZ
+        P = fp.reps.pop()  # R^(k-1)
+        if not model.identity_mode:
+            grads[f"W1_{k}"] = P.T @ dH
+            if k > 1:
+                dH = dH @ p[f"W1_{k}"].T
+        dR = dH
+    return loss, {name: grads[name] for name in p}
 
 
 def _train_batches(
@@ -220,20 +256,14 @@ def _train_batches(
 ) -> None:
     adam = nn.Adam(model.params, lr=lr, clip_norm=5.0)
     for batch in batches:
-        total = nn.zeros_like_params(model.params)
-        loss_sum = 0.0
-        for sg, target in batch:
-            loss, grads = loss_and_grads(model, sg, target)
-            loss_sum += loss
-            nn.accumulate(total, grads, scale=1.0 / len(batch))
-        mean_loss = loss_sum / len(batch)
-        if not np.isfinite(mean_loss):
+        loss, grads = loss_and_grads(model, [sg for sg, _ in batch], [t for _, t in batch])
+        if not np.isfinite(loss):
             raise nn.TrainingDiverged(
-                f"non-finite annotator loss {mean_loss} at step {len(loss_trace)}; "
+                f"non-finite annotator loss {loss} at step {len(loss_trace)}; "
                 f"lr={lr} may be too large or gradients exploded"
             )
-        loss_trace.append(mean_loss)
-        adam.step(total)
+        loss_trace.append(loss)
+        adam.step(grads)
 
 
 def pretrain(
@@ -262,30 +292,44 @@ def pretrain(
     return trace
 
 
+def vote_counts(seq: LogSequence, keywords: KeywordSet) -> tuple[int, int]:
+    """(Normal, Anomaly) keyword hits of a sequence, counted with multiplicity."""
+    counts = Counter(seq.tokens)
+    return (
+        sum(counts[w] for w in keywords.class_words(NORMAL)),
+        sum(counts[w] for w in keywords.class_words(ANOMALY)),
+    )
+
+
+def _vote(n: int, a: int) -> Optional[int]:
+    if n + a == 0:
+        return None
+    return ANOMALY if a > n else NORMAL
+
+
+def _margin(n: int, a: int) -> float:
+    return abs(a - n) / (a + n) if n + a else 0.0
+
+
 def vote_label(seq: LogSequence, keywords: KeywordSet) -> Optional[int]:
     """Keyword term-frequency vote: argmax over class keyword lists.
 
     Returns None (abstain) when the sequence contains no keyword at all;
     ties break toward Normal.
     """
-    counts = Counter(seq.tokens)
-    sums = {
-        NORMAL: sum(counts[w] for w in keywords.class_words(NORMAL)),
-        ANOMALY: sum(counts[w] for w in keywords.class_words(ANOMALY)),
-    }
-    if sums[NORMAL] == 0 and sums[ANOMALY] == 0:
-        return None
-    return ANOMALY if sums[ANOMALY] > sums[NORMAL] else NORMAL
+    return _vote(*vote_counts(seq, keywords))
 
 
 def vote_margin(seq: LogSequence, keywords: KeywordSet) -> float:
     """Decisiveness of the keyword vote: |A - N| / (A + N), 0 on abstain."""
-    counts = Counter(seq.tokens)
-    a = sum(counts[w] for w in keywords.class_words(ANOMALY))
-    n = sum(counts[w] for w in keywords.class_words(NORMAL))
-    if a + n == 0:
-        return 0.0
-    return abs(a - n) / (a + n)
+    return _margin(*vote_counts(seq, keywords))
+
+
+def _vote_pseudo_label(sequence_id: str, n: int, a: int) -> PseudoLabel:
+    label = _vote(n, a)
+    if label is None:
+        return PseudoLabel(sequence_id, NORMAL, 0.5, flagged=True)
+    return PseudoLabel(sequence_id, label, (a if label == ANOMALY else n) / (n + a))
 
 
 def vote_annotate(corpus: list[LogSequence], keywords: KeywordSet) -> list[PseudoLabel]:
@@ -294,20 +338,7 @@ def vote_annotate(corpus: list[LogSequence], keywords: KeywordSet) -> list[Pseud
     Confidence is the winning class's share of keyword hits; abstentions
     fall back to Normal at 0.5 and are flagged.
     """
-    labels = []
-    for seq in corpus:
-        counts = Counter(seq.tokens)
-        sums = {
-            NORMAL: sum(counts[w] for w in keywords.class_words(NORMAL)),
-            ANOMALY: sum(counts[w] for w in keywords.class_words(ANOMALY)),
-        }
-        total = sums[NORMAL] + sums[ANOMALY]
-        if total == 0:
-            labels.append(PseudoLabel(seq.id, NORMAL, 0.5, flagged=True))
-            continue
-        label = ANOMALY if sums[ANOMALY] > sums[NORMAL] else NORMAL
-        labels.append(PseudoLabel(seq.id, label, sums[label] / total))
-    return labels
+    return [_vote_pseudo_label(seq.id, *vote_counts(seq, keywords)) for seq in corpus]
 
 
 def finetune(
@@ -339,10 +370,11 @@ def finetune(
     prior = prior or {}
     pairs = []
     for seq in corpus:
-        label = vote_label(seq, keywords)
+        n, a = vote_counts(seq, keywords)
+        label = _vote(n, a)
         if label is None:
             continue
-        if vote_margin(seq, keywords) < margin:
+        if _margin(n, a) < margin:
             if seq.id not in prior:
                 continue
             label = prior[seq.id]
@@ -369,6 +401,9 @@ def finetune(
     return trace
 
 
+ANNOTATE_BLOCK = 32  # sequences per batched forward pass in annotate
+
+
 def annotate(
     model: AnnotatorModel,
     corpus: list[LogSequence],
@@ -377,25 +412,28 @@ def annotate(
 ) -> list[PseudoLabel]:
     """Pseudo-label every sequence.
 
-    Sequences with empty subgraphs fall back to the keyword vote; if that
-    abstains too, they get Normal with confidence 0.5. Both fallbacks are
-    flagged.
+    Subgraphs go through the batched forward pass a block of sequences at
+    a time. Sequences with empty subgraphs fall back to the keyword vote;
+    if that abstains too, they get Normal with confidence 0.5. Both
+    fallbacks are flagged.
     """
     _check_graph_match(model, graph)
     labels = []
-    for seq in corpus:
-        sg = induce_sequence_subgraph(graph, seq)
-        if sg.is_empty:
-            vote = vote_label(seq, keywords)
-            if vote is None:
-                labels.append(PseudoLabel(seq.id, NORMAL, 0.5, flagged=True))
-            else:
-                labels.append(PseudoLabel(seq.id, vote, 0.5, flagged=True))
-            continue
-        logits = forward(model, sg)
-        probs = nn.softmax(logits)
-        label = int(np.argmax(probs))
-        labels.append(PseudoLabel(seq.id, label, float(probs[label])))
+    for start in range(0, len(corpus), ANNOTATE_BLOCK):
+        block = corpus[start : start + ANNOTATE_BLOCK]
+        sgs = [induce_sequence_subgraph(graph, seq) for seq in block]
+        scored = [sg for sg in sgs if not sg.is_empty]
+        probs = iter(nn.softmax(forward(model, scored)) if scored else ())
+        for seq, sg in zip(block, sgs):
+            if sg.is_empty:
+                vote = vote_label(seq, keywords)
+                labels.append(
+                    PseudoLabel(seq.id, NORMAL if vote is None else vote, 0.5, flagged=True)
+                )
+                continue
+            row = next(probs)
+            label = int(np.argmax(row))
+            labels.append(PseudoLabel(seq.id, label, float(row[label])))
     return labels
 
 

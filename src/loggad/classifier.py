@@ -6,12 +6,20 @@ pooling makes it order-agnostic, which diverges from an order-aware
 transformer but keeps training and gradient checking tractable at desk
 scale. Any object with the same train/predict/save/load surface can be
 swapped in by the pipeline.
+
+The kernel is batched: the token ids of a minibatch are concatenated, mean
+pooling is one segment sum (``np.add.reduceat``), and the embedding
+gradient is scattered back with ``np.add.at``. A single sequence is a batch
+of one. ``predict`` runs the same forward pass over fixed-size blocks of
+the corpus, and its dense layers use a row-by-row product so a sequence's
+prediction does not depend on which sequences share the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -56,16 +64,8 @@ class ClassifierModel:
     def vocab_hash(self) -> str:
         return nn.vocab_digest(sorted(self.vocab))
 
-    def token_ids(self, tokens: Sequence[str]) -> np.ndarray:
+    def token_ids(self, tokens: Iterable[str]) -> np.ndarray:
         return np.array([self.vocab.get(t, UNK) for t in tokens], dtype=np.int64)
-
-    def copy(self) -> "ClassifierModel":
-        return ClassifierModel(
-            params={k: v.copy() for k, v in self.params.items()},
-            vocab=dict(self.vocab),
-            embed_dim=self.embed_dim,
-            hidden=self.hidden,
-        )
 
     def save(self, path) -> None:
         words = [None] * (len(self.vocab) + 1)
@@ -97,34 +97,80 @@ class ClassifierModel:
         return model
 
 
-def forward(model: ClassifierModel, tokens: Sequence[str]) -> np.ndarray:
-    ids = model.token_ids(tokens)
-    x = model.params["emb"][ids].mean(axis=0)
-    t = np.tanh(x @ model.params["W1"] + model.params["b1"])
-    return t @ model.params["W2"] + model.params["b2"]
+def _as_batch(tokens) -> tuple[list, bool]:
+    """(token lists, single): one token list is a batch of one."""
+    if len(tokens) and not isinstance(tokens[0], str):
+        return list(tokens), False
+    return [tokens], True
 
 
-def loss_and_grads(
-    model: ClassifierModel, tokens: Sequence[str], target: int
-) -> tuple[float, nn.Params]:
+def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b computed row by row in the same order whatever the row count.
+
+    BLAS picks its kernel by shape, so ``a @ b`` can give a row different
+    bits depending on how many rows share the call; predictions must not
+    depend on which other sequences share a ``predict`` call.
+    """
+    return np.einsum("bi,ij->bj", a, b)
+
+
+@dataclass
+class _Pass:
+    """One batched forward pass, kept for the backward pass. The token ids
+    of all sequences are concatenated; sequence b owns ``lengths[b]`` of them."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+    x: np.ndarray  # (B, embed_dim) mean-pooled embeddings
+    t: np.ndarray  # (B, hidden)
+    logits: np.ndarray  # (B, 2)
+
+
+def _forward_pass(model: ClassifierModel, token_lists: list) -> _Pass:
+    lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.int64)
+    if lengths.size == 0 or not lengths.all():
+        raise ClassifierError("cannot classify an empty batch or an empty token sequence")
+    ids = model.token_ids(chain.from_iterable(token_lists))
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     p = model.params
-    ids = model.token_ids(tokens)
-    x = p["emb"][ids].mean(axis=0)
-    u = x @ p["W1"] + p["b1"]
-    t = np.tanh(u)
-    logits = t @ p["W2"] + p["b2"]
-    loss, dlogits = nn.cross_entropy(logits, target)
+    x = np.add.reduceat(p["emb"][ids], starts, axis=0) / lengths[:, None]
+    t = np.tanh(_rowwise(x, p["W1"]) + p["b1"])
+    return _Pass(ids, lengths, x, t, _rowwise(t, p["W2"]) + p["b2"])
 
-    grads = nn.zeros_like_params(p)
-    grads["W2"] = np.outer(t, dlogits)
-    grads["b2"] = dlogits.copy()
-    dt = p["W2"] @ dlogits
-    du = dt * (1.0 - t * t)
-    grads["W1"] = np.outer(x, du)
-    grads["b1"] = du.copy()
-    dx = p["W1"] @ du
-    np.add.at(grads["emb"], ids, dx / len(ids))
-    return loss, grads
+
+def forward(model: ClassifierModel, tokens) -> np.ndarray:
+    """2-class logits: (2,) for a token list, (B, 2) for a list of B token lists."""
+    batch, single = _as_batch(tokens)
+    logits = _forward_pass(model, batch).logits
+    return logits[0] if single else logits
+
+
+def loss_and_grads(model: ClassifierModel, tokens, target) -> tuple[float, nn.Params]:
+    """Mean cross-entropy loss and its analytic gradients over a batch.
+
+    ``tokens`` is a token list with an int target, or a list of token lists
+    with one target each.
+    """
+    batch, _ = _as_batch(tokens)
+    target = np.atleast_1d(np.asarray(target, dtype=np.int64))
+    if target.shape != (len(batch),):
+        raise ClassifierError(f"{target.size} targets for {len(batch)} sequences")
+    fp = _forward_pass(model, batch)
+    p = model.params
+    loss, dlogits = nn.cross_entropy(fp.logits, target)
+
+    du = (dlogits @ p["W2"].T) * (1.0 - fp.t * fp.t)
+    dx = (du @ p["W1"].T) / fp.lengths[:, None]
+    demb = np.zeros_like(p["emb"])
+    np.add.at(demb, fp.ids, np.repeat(dx, fp.lengths, axis=0))
+    grads = {
+        "emb": demb,
+        "W1": fp.x.T @ du,
+        "b1": du.sum(axis=0),
+        "W2": fp.t.T @ dlogits,
+        "b2": dlogits.sum(axis=0),
+    }
+    return loss, {name: grads[name] for name in p}
 
 
 def train(
@@ -162,29 +208,34 @@ def train(
         order = rng.permutation(len(examples))
         for start in range(0, len(order), batch_size):
             batch = [examples[i] for i in order[start : start + batch_size]]
-            total = nn.zeros_like_params(model.params)
-            loss_sum = 0.0
-            for tokens, target in batch:
-                loss, grads = loss_and_grads(model, tokens, target)
-                loss_sum += loss
-                nn.accumulate(total, grads, scale=1.0 / len(batch))
-            mean_loss = loss_sum / len(batch)
-            if not np.isfinite(mean_loss):
+            loss, grads = loss_and_grads(
+                model, [tokens for tokens, _ in batch], [target for _, target in batch]
+            )
+            if not np.isfinite(loss):
                 raise nn.TrainingDiverged(
                     f"non-finite classifier loss at step {len(trace)}; lr={lr}"
                 )
-            trace.append(mean_loss)
-            adam.step(total)
+            trace.append(loss)
+            adam.step(grads)
     return trace
+
+
+PREDICT_BLOCK = 32  # sequences per forward pass: bounds the gathered embedding rows
 
 
 def predict(
     model: ClassifierModel, corpus: list[LogSequence]
 ) -> list[tuple[str, int, float]]:
-    """(sequence_id, label, confidence) per sequence, deterministic."""
+    """(sequence_id, label, confidence) per sequence, deterministic.
+
+    Runs the batched forward pass a block of sequences at a time; a
+    sequence's result does not depend on the other sequences in the call.
+    """
     out = []
-    for seq in corpus:
-        probs = nn.softmax(forward(model, seq.tokens))
-        label = int(np.argmax(probs))
-        out.append((seq.id, label, float(probs[label])))
+    for start in range(0, len(corpus), PREDICT_BLOCK):
+        block = corpus[start : start + PREDICT_BLOCK]
+        probs = nn.softmax(forward(model, [seq.tokens for seq in block]))
+        labels = probs.argmax(axis=1)
+        confidences = probs[np.arange(len(block)), labels]
+        out.extend(zip([seq.id for seq in block], labels.tolist(), confidences.tolist()))
     return out

@@ -151,6 +151,8 @@ def cmd_report(args) -> int:
         writer.writerow(["iteration", "gamma"])
         writer.writerows(gamma_rows)
     print(f"gamma series: {csv_path}")
+    if manifest.get("stop_reason"):
+        print(f"stopped early: {manifest['stop_reason']}")
     return EXIT_OK
 
 

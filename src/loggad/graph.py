@@ -158,8 +158,14 @@ class Subgraph:
         """(n, n) binary adjacency, undirected, for message passing."""
         return self.graph.adjacency[np.ix_(self.vertex_ids, self.vertex_ids)]
 
-    @cached_property
+    @property
     def features(self) -> np.ndarray:
+        """(n, 2+|V|) rows of the graph's features, gathered on each access.
+
+        Not cached: a batched forward pass copies them into its own stacked
+        matrix, and a cached copy on every fine-tuning subgraph would hold
+        2+|V| floats per vertex for the whole training.
+        """
         return self.graph.features[self.vertex_ids]
 
 

@@ -20,18 +20,26 @@ class TrainingDiverged(RuntimeError):
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
+    """Softmax over the last axis: one logit vector, or one row per example."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Loss and d(loss)/d(logits) for a single 2-class example."""
-    p = softmax(logits)
-    loss = -float(np.log(max(p[target], 1e-300)))
-    dlogits = p.copy()
-    dlogits[target] -= 1.0
-    return loss, dlogits
+def cross_entropy(logits: np.ndarray, target) -> tuple[float, np.ndarray]:
+    """Mean loss over a batch and its gradient with respect to the logits.
+
+    ``logits`` is (B, 2) with B class targets, or one (2,) vector with an
+    int target, which is a batch of one. The gradient has the logits' shape.
+    """
+    p = softmax(np.atleast_2d(logits))
+    rows = np.arange(p.shape[0])
+    target = np.atleast_1d(target)
+    loss = -float(np.mean(np.log(np.maximum(p[rows, target], 1e-300))))
+    dlogits = p
+    dlogits[rows, target] -= 1.0
+    dlogits /= p.shape[0]
+    return loss, dlogits.reshape(np.shape(logits))
 
 
 def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -50,11 +58,6 @@ def clip_global_norm(grads: Params, max_norm: float) -> float:
 
 def zeros_like_params(params: Params) -> Params:
     return {k: np.zeros_like(v) for k, v in params.items()}
-
-
-def accumulate(into: Params, grads: Params, scale: float = 1.0) -> None:
-    for k, g in grads.items():
-        into[k] += scale * g
 
 
 class Adam:

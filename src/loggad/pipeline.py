@@ -5,7 +5,9 @@ subgraph annotator (self-supervised pre-training plus fine-tuning, depending
 on mode), pseudo-label every sequence, train the sequence classifier on
 those pseudo labels, re-extract keywords from the classifier's predictions,
 and measure keyword drift. The loop stops when drift falls below the
-threshold or the iteration cap is hit.
+threshold or the iteration cap is hit. An iteration after the first whose
+classifier predicts a single class ends the run at the previous iteration,
+whose results are kept.
 
 Fine-tuning targets are the decisive keyword votes. From the second
 iteration on, a sequence whose vote falls below ``finetune_margin`` is
@@ -51,6 +53,11 @@ from loggad.keywords import (
 
 class PipelineError(RuntimeError):
     pass
+
+
+class SingleClassError(PipelineError):
+    """The iteration's classifier predicts one class for the whole corpus,
+    so no keywords can be extracted for the other class."""
 
 
 ANNOTATOR_MODES = ("full", "no_selfsup", "counting")
@@ -152,6 +159,7 @@ class PipelineResult:
     pseudo_labels: list[ann.PseudoLabel]
     converged: bool
     final_annotator: Optional[ann.AnnotatorModel] = None
+    stop_reason: Optional[str] = None  # set when a degenerate iteration ended the run early
 
 
 def strip_gold(corpus: list[LogSequence]) -> list[LogSequence]:
@@ -164,10 +172,14 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def bootstrap(
-    corpus: list[LogSequence], config: PipelineConfig
+    corpus: list[LogSequence],
+    config: PipelineConfig,
+    stopwords: Optional[frozenset[str]] = None,
 ) -> tuple[KeywordSet, ClassifiedCorpus]:
     """Initial keyword set and initial class split.
 
+    ``stopwords`` replaces the default stopword list when given;
+    ``run_pipeline`` loads it once from ``config.stopwords_path``.
     Seeded mode: the supplied seed keywords define the Anomaly class;
     sequences containing any seed form the initial anomaly split, and the
     Normal keyword list is extracted from the remainder. Random mode:
@@ -175,7 +187,6 @@ def bootstrap(
     """
     if not corpus:
         raise PipelineError("empty corpus")
-    stop = load_stopwords(config.stopwords_path) if config.stopwords_path else None
     if config.init_mode == "seeded":
         seeds = [w.lower() for w in config.seed_keywords]
         if not seeds:
@@ -198,7 +209,7 @@ def bootstrap(
         # Initial normal list kept as short as the seed list: symmetric list
         # sizes keep the term-frequency vote unbiased at cold start.
         normal_list = extract_top(
-            classified, len(seed_set), config.idf_exponent, stopwords=stop
+            classified, len(seed_set), config.idf_exponent, stopwords=stopwords
         ).normal
         keywords = KeywordSet(normal=normal_list, anomaly=anomaly_list, iteration_index=0)
         return keywords, classified
@@ -207,7 +218,7 @@ def bootstrap(
     labels[rng.permutation(len(corpus))[: len(corpus) // 2]] = 1
     classified = [(seq, int(lbl)) for seq, lbl in zip(corpus, labels)]
     keywords = extract_top(
-        classified, config.keywords_per_class, config.idf_exponent, stopwords=stop
+        classified, config.keywords_per_class, config.idf_exponent, stopwords=stopwords
     )
     return keywords, classified
 
@@ -218,6 +229,7 @@ def run_iteration(
     config: PipelineConfig,
     iteration: int,
     prior: Optional[dict[str, int]] = None,
+    stopwords: Optional[frozenset[str]] = None,
 ) -> tuple[
     KeywordSet,
     IterationRecord,
@@ -230,10 +242,11 @@ def run_iteration(
 
     ``prior`` holds the previous iteration's classifier labels by sequence
     id; fine-tuning uses them for sequences whose keyword vote is indecisive.
-    Returns the classifier's predictions on the corpus as the last element.
+    ``stopwords`` is as in ``bootstrap``. Returns the classifier's predictions
+    on the corpus as the last element. Raises ``SingleClassError`` when the
+    classifier predicts one class for every sequence.
     """
     start = time.perf_counter()
-    stop = load_stopwords(config.stopwords_path) if config.stopwords_path else None
     pretrain_trace: list[float] = []
     finetune_trace: list[float] = []
     annotator_model: Optional[ann.AnnotatorModel] = None
@@ -292,13 +305,16 @@ def run_iteration(
     )
     predictions = clf.predict(classifier, corpus)
     pred_by_id = {sid: label for sid, label, _ in predictions}
+    predicted = set(pred_by_id.values())
+    if len(predicted) < 2:
+        raise SingleClassError(f"the classifier predicts class {predicted.pop()} for every sequence")
     classified: ClassifiedCorpus = [(seq, pred_by_id[seq.id]) for seq in corpus]
 
     new_keywords = extract_top(
         classified,
         config.keywords_per_class,
         config.idf_exponent,
-        stopwords=stop,
+        stopwords=stopwords,
         iteration_index=iteration,
     )
     gamma = drift(new_keywords, keywords)
@@ -323,9 +339,17 @@ def run_pipeline(
     config: PipelineConfig,
     out_dir: Optional[str | Path] = None,
 ) -> PipelineResult:
-    """Full iterative run; optionally writes a replayable manifest directory."""
+    """Full iterative run; optionally writes a replayable manifest directory.
+
+    When an iteration after the first ends with a classifier that predicts a
+    single class, the run stops there and returns the previous iteration's
+    classifier, predictions and keywords, with the reason in
+    ``stop_reason`` and in the manifest. In the first iteration that, like
+    any other iteration failure, raises ``PipelineError``.
+    """
     corpus = strip_gold(corpus)
-    keywords, _ = bootstrap(corpus, config)
+    stopwords = load_stopwords(config.stopwords_path) if config.stopwords_path else None
+    keywords, _ = bootstrap(corpus, config, stopwords)
     records: list[IterationRecord] = []
     classifier = None
     pseudo: list[ann.PseudoLabel] = []
@@ -333,6 +357,7 @@ def run_pipeline(
     prior: Optional[dict[str, int]] = None
     final_annotator = None
     converged = False
+    stop_reason = None
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -341,9 +366,14 @@ def run_pipeline(
     for iteration in range(1, config.max_iterations + 1):
         try:
             keywords, record, classifier, pseudo, final_annotator, predictions = run_iteration(
-                corpus, keywords, config, iteration, prior=prior
+                corpus, keywords, config, iteration, prior=prior, stopwords=stopwords
             )
-        except (eg.GraphError, ann.AnnotatorError, clf.ClassifierError, KeywordError) as exc:
+        except (
+            eg.GraphError, ann.AnnotatorError, clf.ClassifierError, KeywordError, SingleClassError
+        ) as exc:
+            if isinstance(exc, SingleClassError) and records:
+                stop_reason = f"iteration {iteration}: {exc}; kept iteration {iteration - 1}"
+                break
             if out is not None:
                 (out / "failure.json").write_text(
                     json.dumps({"iteration": iteration, "error": str(exc)}) + "\n"
@@ -366,6 +396,7 @@ def run_pipeline(
         pseudo_labels=pseudo,
         converged=converged,
         final_annotator=final_annotator,
+        stop_reason=stop_reason,
     )
     if out is not None:
         _write_manifest(out, config, corpus, result)
@@ -416,6 +447,7 @@ def _write_manifest(out: Path, config: PipelineConfig, corpus, result: PipelineR
         "config": config.to_dict(),
         "corpus_hash": corpus_hash(corpus),
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "iterations": [
             {
                 "iteration": r.iteration,

@@ -110,6 +110,77 @@ class TestGradients:
             assert loss == pytest.approx(expected)
 
 
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(a) + np.linalg.norm(b), 1e-300)
+
+
+def perturbed_model(rng, g, identity_mode=False):
+    model = AnnotatorModel.create(
+        g.features.shape[1], rng, n_layers=3, hidden=6,
+        vocab_hash=g.vocab_hash, identity_mode=identity_mode,
+    )
+    # move off the zero init so eps/bias gradients are generic
+    for v in model.params.values():
+        v += rng.normal(0, 0.05, size=v.shape)
+    return model
+
+
+def mixed_size_batch(rng, g):
+    """Subgraphs of different sizes, one of them a single vertex."""
+    sizes = [1, g.n_vertices, 3, 2, g.n_vertices - 1]
+    return [
+        Subgraph(graph=g, vertex_ids=rng.choice(g.n_vertices, size=k, replace=False))
+        for k in sizes
+    ]
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("identity_mode", [False, True])
+    def test_batch_is_mean_of_single_examples(self, identity_mode):
+        rng = np.random.default_rng(21)
+        g = random_graph(rng, n=7, p_edge=0.6)
+        sgs = mixed_size_batch(rng, g)
+        targets = [0, 1, 1, 0, 1]
+        model = perturbed_model(rng, g, identity_mode)
+        loss, grads = loss_and_grads(model, sgs, targets)
+        singles = [loss_and_grads(model, sg, t) for sg, t in zip(sgs, targets)]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12)
+        assert list(grads) == list(model.params)
+        for name in model.params:
+            mean = sum(gr[name] for _, gr in singles) / len(sgs)
+            assert rel_err(grads[name], mean) <= 1e-12, name
+
+    def test_batch_of_three_matches_central_differences(self):
+        rng = np.random.default_rng(22)
+        g = random_graph(rng, n=5, p_edge=0.7)
+        sgs = mixed_size_batch(rng, g)[:3]
+        targets = [1, 0, 1]
+        model = perturbed_model(rng, g)
+        _, analytic = loss_and_grads(model, sgs, targets)
+        numeric = TestGradients().numeric_grads(model, sgs, targets)
+        for name in model.params:
+            assert rel_err(analytic[name], numeric[name]) < 1e-4, name
+
+    def test_batched_forward_rows_are_single_forwards(self):
+        rng = np.random.default_rng(23)
+        g = random_graph(rng, n=7, p_edge=0.6)
+        sgs = mixed_size_batch(rng, g)
+        model = perturbed_model(rng, g)
+        batched = forward(model, sgs)
+        assert batched.shape == (len(sgs), 2)
+        for row, sg in zip(batched, sgs):
+            assert np.allclose(row, forward(model, sg), rtol=0, atol=1e-12)
+
+    def test_target_count_must_match_batch(self):
+        rng = np.random.default_rng(24)
+        g = random_graph(rng, n=5)
+        model = perturbed_model(rng, g)
+        with pytest.raises(AnnotatorError):
+            loss_and_grads(model, mixed_size_batch(rng, g)[:3], [0, 1])
+        with pytest.raises(AnnotatorError):
+            loss_and_grads(model, [], [])
+
+
 @dataclass
 class PermutedView:
     """Duck-typed subgraph presenting vertices in an arbitrary row order."""
@@ -438,6 +509,37 @@ class TestAnnotate:
         labels = ann.annotate(model, corpus, g, ks)
         assert [pl.sequence_id for pl in labels] == [s.id for s in corpus]
         assert all(pl.label in (0, 1) and 0.0 < pl.confidence <= 1.0 for pl in labels)
+
+    def test_labels_are_argmax_of_single_forward(self):
+        # more sequences than one annotate block, with keyword-free ones
+        # (flagged vote fallbacks) interleaved so blocks mix both paths
+        corpus, ks, g, model = trainable_setup()
+        rng = np.random.default_rng(4)
+        for v in model.params.values():
+            v += rng.normal(0, 0.5, size=v.shape)
+        words = ["ok", "up", "fail", "trap", "zzz"]
+        many = [
+            LogSequence(
+                id=f"m{i}",
+                tokens=["zzz"] if i % 7 == 3 else [words[j] for j in rng.integers(0, 5, size=4)],
+            )
+            for i in range(3 * ann.ANNOTATE_BLOCK + 5)
+        ]
+        labels = ann.annotate(model, many, g, ks)
+        assert [pl.sequence_id for pl in labels] == [s.id for s in many]
+        scored = 0
+        for seq, pl in zip(many, labels):
+            sg = induce_sequence_subgraph(g, seq)
+            if sg.is_empty:
+                assert pl.flagged and pl.confidence == 0.5
+                continue
+            probs = nn.softmax(forward(model, sg))
+            assert not pl.flagged
+            assert pl.label == int(np.argmax(probs))
+            assert pl.confidence == pytest.approx(probs.max(), abs=1e-12)
+            scored += 1
+        assert 0 < scored < len(many)
+        assert len({pl.label for pl in labels if not pl.flagged}) == 2
 
 
 class TestCheckpoint:

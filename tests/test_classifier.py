@@ -75,6 +75,49 @@ class TestGradients:
         assert np.allclose(g_single["emb"], g_double["emb"], atol=1e-12)
 
 
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(a) + np.linalg.norm(b), 1e-300)
+
+
+def perturbed_model(rng, vocab, embed_dim=4, hidden=3):
+    model = ClassifierModel.create([LogSequence(id="v", tokens=vocab)], rng, embed_dim, hidden)
+    for v in model.params.values():
+        v += rng.normal(0, 0.3, size=v.shape)
+    return model
+
+
+class TestBatchedKernel:
+    VOCAB = [f"w{i}" for i in range(6)]
+    # different lengths, a one-token sequence, repeats and an unknown token
+    BATCH = [["w0"], ["w1", "w2", "w1", "w5"], ["w3", "never_seen", "w3"], ["w4"] * 7, ["w2", "w0"]]
+    TARGETS = [1, 0, 1, 1, 0]
+
+    def test_batch_is_mean_of_single_examples(self):
+        model = perturbed_model(np.random.default_rng(31), self.VOCAB)
+        loss, grads = clf.loss_and_grads(model, self.BATCH, self.TARGETS)
+        singles = [clf.loss_and_grads(model, t, y) for t, y in zip(self.BATCH, self.TARGETS)]
+        assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12)
+        assert list(grads) == list(model.params)
+        for name in model.params:
+            mean = sum(g[name] for _, g in singles) / len(self.BATCH)
+            assert rel_err(grads[name], mean) <= 1e-12, name
+
+    def test_batch_of_three_matches_central_differences(self):
+        model = perturbed_model(np.random.default_rng(32), self.VOCAB)
+        batch, targets = self.BATCH[1:4], self.TARGETS[1:4]
+        _, analytic = clf.loss_and_grads(model, batch, targets)
+        numeric = TestGradients().numeric_grads(model, batch, targets)
+        for name in model.params:
+            assert rel_err(analytic[name], numeric[name]) < 1e-4, name
+
+    def test_target_count_and_empty_sequences_rejected(self):
+        model = perturbed_model(np.random.default_rng(33), self.VOCAB)
+        with pytest.raises(ClassifierError):
+            clf.loss_and_grads(model, self.BATCH, [0, 1])
+        with pytest.raises(ClassifierError):
+            clf.forward(model, [["w0"], []])
+
+
 class TestForward:
     def test_initial_loss_is_ln2_scale(self):
         # zero biases and small xavier weights put both logits near zero
@@ -156,6 +199,37 @@ class TestPredict:
         assert [sid for sid, _, _ in out] == [s.id for s in corpus]
         for _, label, conf in out:
             assert label in (0, 1) and 0.5 <= conf <= 1.0
+
+
+    def test_prediction_does_not_depend_on_the_call(self):
+        # 1,200 sequences span many predict blocks; the whole corpus, 50-
+        # sequence chunks and single sequences must give the same bits
+        rng = np.random.default_rng(34)
+        vocab = [f"t{i}" for i in range(60)]
+        corpus = [
+            LogSequence(
+                id=f"s{i}",
+                tokens=[vocab[j] for j in rng.integers(0, 60, size=int(rng.integers(1, 40)))],
+            )
+            for i in range(1_200)
+        ]
+        model = ClassifierModel.create(corpus[:300], np.random.default_rng(35))
+        for v in model.params.values():
+            v += rng.normal(0, 0.3, size=v.shape)
+        whole = clf.predict(model, corpus)
+        chunks = [r for i in range(0, len(corpus), 50) for r in clf.predict(model, corpus[i : i + 50])]
+        singles = [r for seq in corpus for r in clf.predict(model, [seq])]
+        assert len({label for _, label, _ in whole}) == 2
+        assert repr(chunks) == repr(whole)
+        assert repr(singles) == repr(whole)
+
+    def test_matches_single_sequence_forward(self):
+        corpus, _ = separable_corpus(n=70)
+        model = ClassifierModel.create(corpus, np.random.default_rng(36))
+        for (sid, label, conf), seq in zip(clf.predict(model, corpus), corpus):
+            probs = nn.softmax(clf.forward(model, seq.tokens))
+            assert sid == seq.id and label == int(np.argmax(probs))
+            assert conf == pytest.approx(probs.max(), abs=1e-12)
 
 
 class TestCheckpoint:

@@ -220,6 +220,53 @@ class TestRunPipeline:
             assert priors[k - 1] == expected
         assert result.predictions == pl.clf.predict(classifiers[-1], stripped)
 
+    def single_class_from(self, monkeypatch, iteration):
+        """Make classifier.predict return class NORMAL everywhere from the
+        given iteration's call on; returns the real predictions per call."""
+        predict, real = pl.clf.predict, []
+
+        def fake(model, corpus):
+            out = predict(model, corpus)
+            real.append(out)
+            if len(real) >= iteration:
+                return [(sid, NORMAL, conf) for sid, _, conf in out]
+            return out
+
+        monkeypatch.setattr(pl.clf, "predict", fake)
+        return real
+
+    def test_single_class_iteration_keeps_previous_iteration(self, monkeypatch, tmp_path):
+        corpus, _ = tiny_corpus()
+        classifiers = []
+        train = pl.clf.train
+
+        def capture_classifier(model, *args, **kwargs):
+            classifiers.append(model)
+            return train(model, *args, **kwargs)
+
+        monkeypatch.setattr(pl.clf, "train", capture_classifier)
+        real = self.single_class_from(monkeypatch, 2)
+        out = tmp_path / "run"
+        result = run_pipeline(corpus, fast_config(drift_threshold=-1.0), out_dir=out)
+        assert len(real) == 2 and len(classifiers) == 2
+        assert len(result.records) == 1 and not result.converged
+        assert result.classifier is classifiers[0]
+        assert result.predictions == real[0]
+        assert result.keywords == result.records[0].keywords
+        assert result.stop_reason.startswith("iteration 2: ")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stop_reason"] == result.stop_reason
+        assert len(manifest["iterations"]) == 1
+        assert not (out / "keywords_002.json").exists()
+        assert not (out / "failure.json").exists()
+
+    def test_single_class_first_iteration_raises(self, monkeypatch, tmp_path):
+        corpus, _ = tiny_corpus()
+        self.single_class_from(monkeypatch, 1)
+        with pytest.raises(PipelineError, match="iteration 1 failed"):
+            run_pipeline(corpus, fast_config(), out_dir=tmp_path / "run")
+        assert (tmp_path / "run" / "failure.json").exists()
+
     def test_no_selfsup_skips_pretraining(self):
         corpus, _ = tiny_corpus()
         cfg = fast_config(annotator_mode="no_selfsup", max_iterations=1, gin_hidden=8)
