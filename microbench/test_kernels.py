@@ -1,4 +1,6 @@
-"""Micro-benchmarks of the two trainable models' batched kernels.
+"""Micro-benchmarks of the two trainable models' batched kernels, walk
+sampling, the event graph and keyword kernels, and the JSONL read and
+``loggad detect`` paths.
 
 Run from the root of a checkout:
 
@@ -7,17 +9,22 @@ Run from the root of a checkout:
 They are kept out of the tier-1 suite (``testpaths = ["tests"]``). The
 inputs mirror the default synthetic run's second iteration: a graph over
 both 100-word keyword lists, minibatches of 20 subgraphs for the annotator
-and of 5 sequences for the classifier.
+and of 5 sequences for the classifier. The file benchmarks read and score
+5,000 sequences.
 """
+
+import io
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
 from loggad import annotator as ann
 from loggad import classifier as clf
+from loggad import cli
 from loggad import evaluation as ev
 from loggad import graph as eg
-from loggad import nn, walks
+from loggad import ingest, nn, walks
 from loggad.keywords import extract_top
 from loggad.pipeline import strip_gold
 
@@ -30,9 +37,13 @@ def corpus():
 
 
 @pytest.fixture(scope="module")
-def graph_setup(corpus):
+def classified(corpus):
+    return [(seq, int(bool(SEED_KEYWORDS.intersection(seq.tokens)))) for seq in corpus[:400]]
+
+
+@pytest.fixture(scope="module")
+def graph_setup(corpus, classified):
     train = corpus[:400]
-    classified = [(seq, int(bool(SEED_KEYWORDS.intersection(seq.tokens)))) for seq in train]
     keywords = extract_top(classified, 100, 4)
     g = eg.build(keywords, train)
     sampler = walks.WalkSampler(
@@ -61,6 +72,12 @@ def test_annotator_sequence_batch_loss_and_grads(benchmark, graph_setup):
     assert np.isfinite(loss)
 
 
+def test_walks_sample_batch(benchmark, graph_setup):
+    # after the sampler's other users, so its draws leave their inputs as they were
+    _, _, sampler, _ = graph_setup
+    assert len(benchmark(sampler.sample_batch, 20)) == 20
+
+
 def test_classifier_step(benchmark, corpus):
     model = clf.ClassifierModel.create(corpus[:400], np.random.default_rng(2))
     adam = nn.Adam(model.params, lr=1e-3)
@@ -78,3 +95,43 @@ def test_classifier_predict_1000(benchmark, corpus):
     model = clf.ClassifierModel.create(corpus[:400], np.random.default_rng(3))
     out = benchmark(clf.predict, model, corpus[400:])
     assert len(out) == 1_000
+
+
+def test_keywords_extract_top(benchmark, classified):
+    keywords = benchmark(extract_top, classified, 100, 4)
+    assert keywords.anomaly and keywords.normal
+
+
+def test_graph_build(benchmark, classified):
+    keywords = extract_top(classified, 100, 4)
+    g = benchmark(eg.build, keywords, [seq for seq, _ in classified])
+    assert g.feature_dim > 2
+
+
+@pytest.fixture(scope="module")
+def sequence_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("detect") / "sequences.jsonl"
+    spec = ev.SyntheticSpec(n_sequences=5_000, noise_rate=0.1, seed=4)
+    ingest.write_jsonl(strip_gold(ev.generate_synthetic(spec)), path)
+    return path
+
+
+def test_ingest_read_jsonl_5000(benchmark, sequence_file):
+    assert len(benchmark(ingest.read_jsonl, sequence_file)) == 5_000
+
+
+def test_cli_detect_5000(benchmark, corpus, sequence_file):
+    model_dir = sequence_file.parent / "model"
+    model_dir.mkdir(exist_ok=True)
+    model = clf.ClassifierModel.create(corpus[:400], np.random.default_rng(5))
+    model.save(model_dir / "classifier.npz")
+    out = sequence_file.parent / "predictions.jsonl"
+    argv = ["detect", "--model-dir", str(model_dir), "--sequences", str(sequence_file),
+            "--out", str(out)]
+
+    def detect():
+        with redirect_stdout(io.StringIO()):  # the CLI reports the file it writes
+            return cli.main(argv)
+
+    assert benchmark(detect) == cli.EXIT_OK
+    assert out.read_text().count("\n") == 5_000

@@ -220,7 +220,7 @@ def train(
     return trace
 
 
-PREDICT_BLOCK = 32  # sequences per forward pass: bounds the gathered embedding rows
+PREDICT_BLOCK = 128  # sequences per forward pass: bounds the gathered embedding rows
 
 
 def predict(

@@ -11,8 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
+from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from loggad import classifier as clf
@@ -26,6 +29,8 @@ EXIT_ERROR = 1
 EXIT_MISSING_INPUT = 2
 EXIT_VOCAB_MISMATCH = 3
 
+DETECT_BLOCK = 1024  # sequences parsed, predicted and written at a time
+
 
 def _require_file(path: str) -> Path:
     p = Path(path)
@@ -37,21 +42,12 @@ def _require_file(path: str) -> Path:
 def cmd_ingest(args) -> int:
     path = _require_file(args.input)
     if args.kind == "plain":
-        records = []
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            for line_no, raw in enumerate(fh):
-                text = raw.rstrip("\n")
-                if text.strip():
-                    records.append(ingest.RawLogRecord(line_no=line_no, text=text))
+        sequences = ingest.window(ingest.read_plain_records(path), args.window)
     else:
         if args.labels:
             _require_file(args.labels)
         records = ev.load_loghub_sample(path, args.kind, label_path=args.labels)
-    sequences = (
-        ev.sequences_from_records(records, args.kind, window_size=args.window)
-        if args.kind != "plain"
-        else ingest.window(records, args.window)
-    )
+        sequences = ev.sequences_from_records(records, args.kind, window_size=args.window)
     ingest.write_jsonl(sequences, args.out)
     print(f"wrote {len(sequences)} sequences to {args.out}")
     return EXIT_OK
@@ -114,12 +110,36 @@ def cmd_detect(args) -> int:
         if manifest.get("classifier_vocab_hash") not in (None, model.vocab_hash):
             print("error: model vocabulary hash does not match run manifest", file=sys.stderr)
             return EXIT_VOCAB_MISMATCH
-    corpus = ingest.read_jsonl(seq_path)
-    with open(args.out, "w") as fh:
-        for sid, label, conf in clf.predict(model, corpus):
-            fh.write(json.dumps({"id": sid, "label": label, "confidence": round(conf, 12)}) + "\n")
-    print(f"wrote {len(corpus)} predictions to {args.out}")
+    out = Path(args.out)
+    # written beside --out and moved over it only once every block is written,
+    # so a bad input line leaves an existing --out as it was
+    partial = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    sequences = ingest.iter_jsonl(seq_path)
+    written = 0
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            while block := list(islice(sequences, DETECT_BLOCK)):
+                fh.writelines(_prediction_lines(clf.predict(model, block)))
+                written += len(block)
+        os.replace(partial, out)
+    finally:
+        partial.unlink(missing_ok=True)
+    print(f"wrote {written} predictions to {args.out}")
     return EXIT_OK
+
+
+def _prediction_lines(predictions: list[tuple[str, int, float]]) -> list[str]:
+    """The bytes of ``json.dumps({"id", "label", "confidence"})`` per line.
+
+    Confidences are rounded to 12 places. json writes a str with
+    ``encode_basestring_ascii`` and a finite float with ``float.__repr__``;
+    formatting the three fields directly skips building a dict per line.
+    """
+    return [
+        '{"id": ' + encode_basestring_ascii(sid) + ', "label": ' + str(label)
+        + ', "confidence": ' + repr(round(conf, 12)) + "}\n"
+        for sid, label, conf in predictions
+    ]
 
 
 def cmd_report(args) -> int:

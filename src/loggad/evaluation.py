@@ -316,10 +316,7 @@ def sequences_from_records(
 ) -> list[LogSequence]:
     """HDFS groups by block id; every other kind uses fixed windows."""
     if dataset_kind == "hdfs":
-        sequences, rejects = group_by_key(records, HDFS_BLOCK_PATTERN)
-        if len(rejects):
-            sequences_ids = {s.id for s in sequences}
-            assert sequences_ids  # grouping succeeded; rejects are reported upstream
+        sequences, _ = group_by_key(records, HDFS_BLOCK_PATTERN)
         return sequences
     return window(records, window_size)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 NUM_SENTINEL = "[Num]"
 
@@ -85,6 +85,16 @@ class RejectReport:
 
     def __len__(self):
         return len(self.records)
+
+
+def read_plain_records(path) -> list[RawLogRecord]:
+    """One record per non-blank line of a raw log file, numbered from 0."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        return [
+            RawLogRecord(line_no=line_no, text=text)
+            for line_no, text in enumerate(raw.rstrip("\n") for raw in fh)
+            if text.strip()
+        ]
 
 
 def group_by_key(
@@ -170,15 +180,36 @@ def write_jsonl(sequences: list[LogSequence], path) -> None:
             )
 
 
-def read_jsonl(path) -> list[LogSequence]:
-    sequences = []
+def _sequence_from_json(line: str) -> LogSequence:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"invalid JSON: {exc.msg} at column {exc.colno}") from None
+    if not isinstance(obj, dict):
+        raise IngestError("expected a JSON object")
+    for key, typ in (("id", str), ("tokens", list)):
+        if not isinstance(obj.get(key), typ):
+            raise IngestError(f"{key!r} is missing or not a {typ.__name__}")
+    return LogSequence(id=obj["id"], tokens=obj["tokens"], gold_label=obj.get("gold_label"))
+
+
+def iter_jsonl(path) -> Iterator[LogSequence]:
+    """Yield one sequence per non-blank line of a JSONL file, read lazily.
+
+    Each line is an object with a string ``id``, a non-empty list of
+    ``tokens`` and an optional ``gold_label``. A line that breaks this
+    raises IngestError naming the file and its line number (from 1).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            obj = json.loads(line)
-            sequences.append(
-                LogSequence(id=obj["id"], tokens=obj["tokens"], gold_label=obj.get("gold_label"))
-            )
-    return sequences
+            try:
+                seq = _sequence_from_json(line)
+            except IngestError as exc:
+                raise IngestError(f"{path}, line {line_no}: {exc}") from None
+            yield seq
+
+
+def read_jsonl(path) -> list[LogSequence]:
+    return list(iter_jsonl(path))

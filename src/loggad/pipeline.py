@@ -30,7 +30,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -62,6 +62,24 @@ class SingleClassError(PipelineError):
 
 ANNOTATOR_MODES = ("full", "no_selfsup", "counting")
 INIT_MODES = ("seeded", "random")
+
+
+def _ini_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise PipelineError(f"not a boolean: {raw!r}") from None
+
+
+# PipelineConfig field type -> parser of its INI value
+_INI_PARSERS = {
+    int: int,
+    float: float,
+    bool: _ini_bool,
+    str: str,
+    Optional[str]: str,
+    list[str]: lambda raw: [w.strip() for w in raw.split(",") if w.strip()],
+}
 
 
 @dataclass
@@ -115,27 +133,11 @@ class PipelineConfig:
         flat: dict[str, str] = {}
         for section in parser.sections():
             flat.update(parser[section])
-        kwargs: dict = {}
-        for f, typ in cls.__dataclass_fields__.items():
-            if f not in flat:
-                continue
-            raw = flat[f]
-            if f == "seed_keywords":
-                kwargs[f] = [w.strip() for w in raw.split(",") if w.strip()]
-            elif f == "stopwords_path":
-                kwargs[f] = raw
-            elif f in ("annotator_mode", "init_mode"):
-                kwargs[f] = raw
-            elif f == "directed_edges":
-                kwargs[f] = raw.strip().lower() in ("1", "true", "yes")
-            elif f in ("annotator_lr", "classifier_lr", "drift_threshold", "finetune_margin", "finetune_lr"):
-                kwargs[f] = float(raw)
-            else:
-                kwargs[f] = int(raw)
-        unknown = set(flat) - set(cls.__dataclass_fields__)
+        hints = get_type_hints(cls)
+        unknown = set(flat) - set(hints)
         if unknown:
             raise PipelineError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        return cls(**{name: _INI_PARSERS[hints[name]](raw) for name, raw in flat.items()})
 
 
 @dataclass

@@ -1,11 +1,15 @@
 """CLI commands: exit codes, golden files and determinism."""
 
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from loggad import classifier as clf
 from loggad import ingest
 from loggad.cli import (
+    DETECT_BLOCK,
     EXIT_ERROR,
     EXIT_MISSING_INPUT,
     EXIT_OK,
@@ -191,3 +195,105 @@ class TestTrainDetectReportEval:
         saved = json.loads((run_dir / "config.json").read_text())
         assert saved["max_iterations"] == 2
         assert saved["seed_keywords"] == ["fault0_trap", "fault1_trap"]
+
+
+WORDS = [f"w{i}" for i in range(40)]
+
+
+def random_sequences(n, seed=0, ids=None):
+    rng = np.random.default_rng(seed)
+    return [
+        ingest.LogSequence(
+            id=ids[i % len(ids)] + str(i) if ids else f"s{i}",
+            tokens=[WORDS[k] for k in rng.integers(0, len(WORDS), size=rng.integers(1, 20))]
+            + (["never_seen"] if i % 7 == 0 else []),
+        )
+        for i in range(n)
+    ]
+
+
+@pytest.fixture
+def model_dir(tmp_path):
+    """An untrained classifier: detect needs weights, not good ones."""
+    model = clf.ClassifierModel.create(
+        [ingest.LogSequence(id="v", tokens=WORDS)], np.random.default_rng(4), embed_dim=8, hidden=8
+    )
+    path = tmp_path / "run" / "model"
+    path.mkdir(parents=True)
+    model.save(path / "classifier.npz")
+    return path
+
+
+def detect(model_dir, sequences, out):
+    return run(["detect", "--model-dir", str(model_dir), "--sequences", str(sequences),
+                "--out", str(out)])
+
+
+class TestDetectStreaming:
+    def test_output_is_json_dumps_of_whole_corpus_predict(self, tmp_path, model_dir):
+        n = 2 * DETECT_BLOCK + 37
+        ids = ['q"uote', "back\\slash", "ctl\x01\x1f", "ünïcødé ☃ 😀", "tab\tnl\u2028"]
+        corpus = random_sequences(n, ids=ids)
+        path = tmp_path / "seqs.jsonl"
+        ingest.write_jsonl(corpus, path)
+        out = tmp_path / "preds.jsonl"
+        assert detect(model_dir, path, out) == EXIT_OK
+        model = clf.ClassifierModel.load(model_dir / "classifier.npz")
+        expected = "".join(
+            json.dumps({"id": sid, "label": label, "confidence": round(conf, 12)}) + "\n"
+            for sid, label, conf in clf.predict(model, corpus)
+        )
+        assert out.read_bytes() == expected.encode("ascii")
+        assert len(set(json.loads(line)["id"] for line in out.read_text().splitlines())) == n
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+    def test_empty_input_writes_no_predictions(self, tmp_path, model_dir, capsys):
+        path = tmp_path / "seqs.jsonl"
+        path.write_text("\n\n")
+        out = tmp_path / "preds.jsonl"
+        assert detect(model_dir, path, out) == EXIT_OK
+        assert out.read_bytes() == b""
+        assert "wrote 0 predictions" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "bad", ['{"id": "x", "tokens": ["w1"],}', '{"id": "x"}', '{"id": "x", "tokens": []}']
+    )
+    def test_bad_line_exits_1_naming_it_and_keeps_out(self, tmp_path, model_dir, capsys, bad):
+        good = tmp_path / "good.jsonl"
+        ingest.write_jsonl(random_sequences(DETECT_BLOCK + 500), good)
+        text = good.read_text().splitlines()
+        bad_line = DETECT_BLOCK + 300  # after a whole block has been predicted and written
+        text[bad_line - 1] = bad
+        path = tmp_path / "seqs.jsonl"
+        path.write_text("\n".join(text) + "\n")
+        out = tmp_path / "preds.jsonl"
+        out.write_text("previous predictions\n")
+        assert detect(model_dir, path, out) == EXIT_ERROR
+        assert f"line {bad_line}:" in capsys.readouterr().err
+        assert out.read_text() == "previous predictions\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "good.jsonl", "preds.jsonl", "run", "seqs.jsonl"
+        ]
+
+    def test_train_and_eval_report_bad_line(self, tmp_path, capsys):
+        path = tmp_path / "seqs.jsonl"
+        path.write_text('{"id": "a", "tokens": ["x"]}\n{"id": "b"}\n')
+        assert run(train_args(path, tmp_path / "run")) == EXIT_ERROR
+        assert "line 2:" in capsys.readouterr().err
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "a", "label": 0, "confidence": 1.0}\n')
+        assert run(["eval", "--predictions", str(preds), "--gold", str(path)]) == EXIT_ERROR
+        assert "line 2:" in capsys.readouterr().err
+
+    def test_peak_memory_does_not_grow_with_the_input(self, tmp_path, model_dir):
+        peaks = []
+        for n in (2_500, 20_000):
+            path = tmp_path / f"seqs_{n}.jsonl"
+            ingest.write_jsonl(random_sequences(n), path)
+            tracemalloc.start()
+            try:
+                assert detect(model_dir, path, tmp_path / f"preds_{n}.jsonl") == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks

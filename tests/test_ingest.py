@@ -200,3 +200,47 @@ class TestJsonl:
         ingest.write_jsonl(sequences, p1)
         ingest.write_jsonl(sequences, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_iter_is_lazy_and_read_is_its_list(self, tmp_path):
+        path = tmp_path / "seqs.jsonl"
+        ingest.write_jsonl([LogSequence(id=f"s{i}", tokens=["x"]) for i in range(3)], path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n{not json\n")
+        sequences = ingest.iter_jsonl(path)
+        assert [next(sequences).id for _ in range(3)] == ["s0", "s1", "s2"]
+        with pytest.raises(IngestError, match="line 5"):
+            next(sequences)
+        with pytest.raises(IngestError, match="line 5"):
+            ingest.read_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            ('{"id": "b", "tokens": ["x"] "gold_label": 0}', "invalid JSON"),
+            ('{"id": "b", "tokens": ["x"]} trailing', "invalid JSON"),
+            ('["b", ["x"]]', "JSON object"),
+            ('{"id": "b"}', "'tokens' is missing"),
+            ('{"tokens": ["x"]}', "'id' is missing"),
+            ('{"id": 7, "tokens": ["x"]}', "'id' is missing or not a str"),
+            ('{"id": "b", "tokens": "x"}', "'tokens' is missing or not a list"),
+            ('{"id": "b", "tokens": []}', "has no tokens"),
+        ],
+    )
+    def test_bad_line_names_its_file_line(self, tmp_path, bad, reason):
+        path = tmp_path / "seqs.jsonl"
+        path.write_text('{"id": "a", "tokens": ["x"]}\n\n' + bad + "\n", encoding="utf-8")
+        with pytest.raises(IngestError, match="line 3") as info:
+            ingest.read_jsonl(path)
+        assert reason in str(info.value)
+        assert "line 1 " not in str(info.value)
+
+
+class TestReadPlainRecords:
+    def test_numbers_lines_from_zero_and_skips_blank(self, tmp_path):
+        path = tmp_path / "raw.log"
+        path.write_bytes(b"alpha beta\n\n   \ngamma \xff delta\n")
+        records = ingest.read_plain_records(path)
+        assert [(r.line_no, r.text) for r in records] == [
+            (0, "alpha beta"),
+            (3, "gamma � delta"),
+        ]

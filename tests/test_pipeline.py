@@ -1,6 +1,7 @@
 """Pipeline loop: bootstrap, iteration mechanics, artifacts and the gold firewall."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,39 @@ class TestConfig:
         assert cfg.directed_edges is True
         # untouched fields keep their defaults
         assert cfg.idf_exponent == 4
+
+    def test_from_ini_round_trips_every_field(self, tmp_path):
+        cfg = PipelineConfig(
+            keywords_per_class=40, idf_exponent=3, cooccur_window=7, gin_layers=2,
+            gin_hidden=16, annotator_epochs=5, annotator_batch=8, finetune_epochs=6,
+            finetune_margin=0.35, finetune_lr=2.5e-3, annotator_lr=3e-5,
+            classifier_epochs=4, classifier_batch=9, classifier_lr=7.5e-4, embed_dim=12,
+            classifier_hidden=24, drift_threshold=0.05, max_iterations=3, seed=11,
+            annotator_mode="no_selfsup", init_mode="random",
+            seed_keywords=["failed", "denied"], walk_max_length=32,
+            directed_edges=True, stopwords_path="stop.txt",
+        )
+        names = [f.name for f in fields(PipelineConfig)]
+        assert all(getattr(cfg, n) != getattr(PipelineConfig(), n) for n in names)
+
+        def ini_value(value):
+            if isinstance(value, list):
+                return ", ".join(value)
+            return str(value).lower() if isinstance(value, bool) else str(value)
+
+        path = tmp_path / "run.ini"
+        path.write_text(
+            "[pipeline]\n" + "".join(f"{n} = {ini_value(getattr(cfg, n))}\n" for n in names)
+        )
+        back = PipelineConfig.from_ini(path)
+        assert back == cfg
+        assert [type(getattr(back, n)) for n in names] == [type(getattr(cfg, n)) for n in names]
+
+    def test_from_ini_bad_boolean_rejected(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[pipeline]\ndirected_edges = maybe\n")
+        with pytest.raises(PipelineError, match="maybe"):
+            PipelineConfig.from_ini(path)
 
     def test_from_ini_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
