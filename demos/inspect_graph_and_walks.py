@@ -28,24 +28,24 @@ def main():
     print("top normal keywords: ", [w for w, _ in keywords.normal[:8]])
 
     graph = build(keywords, corpus, cooccur_window=10)
-    policy = transition_probabilities(graph)
-    degrees = np.array([len(policy.neighbors[v]) for v in range(graph.n_vertices)])
-    print(f"\ngraph: {graph.n_vertices} vertices, {len(graph.edges)} edges")
+    transitions = transition_probabilities(graph)
+    degrees = np.count_nonzero(graph.frequency, axis=1)
+    print(f"\ngraph: {graph.n_vertices} vertices, {degrees.sum() // 2} edges")
     for v in np.argsort(-degrees)[:5]:
         flags = graph.class_flags[v]
         cls = "both" if flags.all() else CLASS_NAMES[int(flags[1])]
         print(f"  {graph.words[v]:24s} degree={degrees[v]:3d} class={cls}")
 
     hub = int(np.argmax(degrees))
-    row = policy.probabilities[hub]
-    top = np.argsort(-row)[:4]
+    row = np.diff(transitions[hub], prepend=0.0)  # cumulative row -> probabilities
+    top = np.argsort(-row, kind="stable")[: min(4, degrees[hub])]
     print(f"\ntransition row for '{graph.words[hub]}' (top 4 next-hops):")
     for k in top:
-        print(f"  -> {graph.words[policy.neighbors[hub][k]]:24s} p={row[k]:.3f}")
+        print(f"  -> {graph.words[k]:24s} p={row[k]:.3f}")
 
     length_model = walks.fit_length_model(corpus, keywords)
     print(f"\nwalk length ~ N(mu={length_model.mu:.1f}, sigma2={length_model.sigma2:.1f})")
-    sampler = walks.WalkSampler(graph, policy, length_model, np.random.default_rng(0))
+    sampler = walks.WalkSampler(graph, transitions, length_model, np.random.default_rng(0))
     for _ in range(4):
         sample = sampler.sample()
         words = [graph.words[v] for v in sample.subgraph.vertex_ids[:6]]

@@ -2,8 +2,12 @@
 
 Vertices are keywords that actually occur in the corpus; an edge joins two
 keywords that appear within a token-distance window inside the same
-sequence, weighted by total co-occurrence count. Node features live in
-R^(2+|V|): two class-membership bits followed by a one-hot vertex index.
+sequence, weighted by total co-occurrence count. The graph is stored once,
+as a dense |V|x|V| integer frequency matrix (|V| <= 2Z): the adjacency,
+the walk transition rows and the JSON edge list are all derived from it.
+``build`` counts every sequence at once, one ``np.add.at`` per token offset.
+Node features live in R^(2+|V|): two class-membership bits followed by a
+one-hot vertex index.
 """
 
 from __future__ import annotations
@@ -31,20 +35,24 @@ class EmptyGraphError(GraphError):
 class EventGraph:
     words: list[str]
     class_flags: np.ndarray  # (|V|, 2) float64, [in normal list, in anomaly list]
-    edges: dict[tuple[int, int], int]  # i < j for undirected graphs
+    # (|V|, |V|) int64 co-occurrence counts; symmetric unless directed, where
+    # [i, j] counts i before j
+    frequency: np.ndarray
     directed: bool = False
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
         self.index = {w: i for i, w in enumerate(self.words)}
         n = len(self.words)
-        for (i, j), f in self.edges.items():
-            if i == j:
-                raise GraphError(f"self-loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
-                raise GraphError(f"edge ({i},{j}) out of range")
-            if f < 1:
-                raise GraphError(f"edge ({i},{j}) has frequency {f} < 1")
+        freq = self.frequency
+        if freq.shape != (n, n) or not np.issubdtype(freq.dtype, np.integer):
+            raise GraphError(f"frequency must be an integer ({n}, {n}) matrix")
+        if np.any(np.diagonal(freq)):
+            raise GraphError("self-loop on the frequency diagonal")
+        if np.any(freq < 0):
+            raise GraphError("negative co-occurrence count")
+        if not self.directed and not np.array_equal(freq, freq.T):
+            raise GraphError("undirected frequency matrix is not symmetric")
         if not np.all(self.class_flags.sum(axis=1) >= 1):
             raise GraphError("every vertex must belong to at least one class")
 
@@ -66,35 +74,9 @@ class EventGraph:
         return feats
 
     @cached_property
-    def neighbor_lists(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per vertex: (neighbor indices, co-occurrence frequencies)."""
-        acc: list[dict[int, int]] = [dict() for _ in self.words]
-        for (i, j), f in self.edges.items():
-            acc[i][j] = acc[i].get(j, 0) + f
-            if not self.directed:
-                acc[j][i] = acc[j].get(i, 0) + f
-        out = []
-        for row in acc:
-            idx = np.array(sorted(row), dtype=np.int64)
-            freq = np.array([row[k] for k in idx], dtype=np.float64)
-            out.append((idx, freq))
-        return out
-
-    @cached_property
     def adjacency(self) -> np.ndarray:
         """(|V|, |V|) binary adjacency, symmetric even for directed graphs."""
-        n = len(self.words)
-        adj = np.zeros((n, n))
-        if self.edges:
-            i, j = np.array(list(self.edges), dtype=np.int64).T
-            adj[i, j] = 1.0
-            adj[j, i] = 1.0
-        return adj
-
-    def frequency(self, a: int, b: int) -> int:
-        if self.directed:
-            return self.edges.get((a, b), 0)
-        return self.edges.get((a, b) if a < b else (b, a), 0)
+        return ((self.frequency + self.frequency.T) > 0).astype(np.float64)
 
     def class_vertices(self, class_t: int) -> np.ndarray:
         return np.flatnonzero(self.class_flags[:, class_t] > 0)
@@ -107,13 +89,16 @@ class EventGraph:
         return hashlib.sha256(payload).hexdigest()
 
     def to_json(self) -> str:
+        freq = self.frequency if self.directed else np.triu(self.frequency)
+        rows, cols = np.nonzero(freq)
+        counts = freq[rows, cols]
         return json.dumps(
             {
                 "vertices": [
                     {"word": w, "class_flags": self.class_flags[i].astype(int).tolist()}
                     for i, w in enumerate(self.words)
                 ],
-                "edges": [[i, j, int(f)] for (i, j), f in sorted(self.edges.items())],
+                "edges": [list(e) for e in zip(rows.tolist(), cols.tolist(), counts.tolist())],
                 "directed": self.directed,
             },
             ensure_ascii=False,
@@ -121,29 +106,14 @@ class EventGraph:
 
 
 @dataclass
-class WalkPolicy:
-    """Normalized outgoing transition probabilities per vertex."""
-
-    neighbors: list[np.ndarray]
-    probabilities: list[np.ndarray]
-    cumulative: list[np.ndarray] = field(init=False)
-
-    def __post_init__(self):
-        self.cumulative = [np.cumsum(p) for p in self.probabilities]
-
-    def is_dead_end(self, vertex: int) -> bool:
-        return self.neighbors[vertex].size == 0
-
-
-@dataclass
 class Subgraph:
     """Induced subgraph of an EventGraph over a vertex subset."""
 
     graph: EventGraph
-    vertex_ids: np.ndarray  # sorted graph indices
+    vertex_ids: np.ndarray  # graph indices, sorted and deduplicated on init
 
     def __post_init__(self):
-        self.vertex_ids = np.asarray(sorted(set(int(v) for v in self.vertex_ids)), dtype=np.int64)
+        self.vertex_ids = np.unique(np.asarray(self.vertex_ids, dtype=np.int64))
 
     @property
     def n_vertices(self) -> int:
@@ -205,38 +175,35 @@ def build(
         if w in anomaly_words:
             flags[i, ANOMALY] = 1.0
 
-    edges: dict[tuple[int, int], int] = {}
+    # One stream of vertex ids (-1 for other tokens), with cooccur_window
+    # -1s after each sequence so that no counted pair spans two sequences.
+    gap = [-1] * cooccur_window
+    stream: list[int] = []
     for seq in corpus:
-        hits = [(pos, index[tok]) for pos, tok in enumerate(seq.tokens) if tok in index]
-        for a in range(len(hits)):
-            pa, va = hits[a]
-            for b in range(a + 1, len(hits)):
-                pb, vb = hits[b]
-                if pb - pa > cooccur_window:
-                    break
-                if va == vb:
-                    continue
-                key = (va, vb) if directed else (min(va, vb), max(va, vb))
-                edges[key] = edges.get(key, 0) + 1
-    return EventGraph(words=words, class_flags=flags, edges=edges, directed=directed)
+        stream.extend([index.get(tok, -1) for tok in seq.tokens])
+        stream.extend(gap)
+    ids = np.asarray(stream, dtype=np.int64)
+    freq = np.zeros((len(words), len(words)), dtype=np.int64)
+    for d in range(1, cooccur_window + 1):
+        a, b = ids[:-d], ids[d:]
+        keep = (a >= 0) & (b >= 0) & (a != b)
+        np.add.at(freq, (a[keep], b[keep]), 1)
+    if not directed:
+        freq = freq + freq.T
+    return EventGraph(words=words, class_flags=flags, frequency=freq, directed=directed)
 
 
-def transition_probabilities(g: EventGraph) -> WalkPolicy:
-    """Row-normalize co-occurrence frequencies into walk probabilities.
+def transition_probabilities(g: EventGraph) -> np.ndarray:
+    """Row-cumulative walk probabilities, (|V|, |V|) float64.
 
-    Isolated vertices get an empty row (dead end).
+    Row v is the running sum of F[v] / sum(F[v]); the next vertex after v
+    is the first column whose entry exceeds a uniform draw. An isolated
+    vertex gets an all-zero row (dead end).
     """
     if g.n_vertices == 0:
         raise GraphError("empty graph")
-    neighbors = []
-    probabilities = []
-    for idx, freq in g.neighbor_lists:
-        neighbors.append(idx)
-        if idx.size == 0:
-            probabilities.append(np.zeros(0))
-        else:
-            probabilities.append(freq / freq.sum())
-    return WalkPolicy(neighbors=neighbors, probabilities=probabilities)
+    freq = g.frequency
+    return np.cumsum(freq / np.maximum(freq.sum(axis=1, keepdims=True), 1), axis=1)
 
 
 def induce_sequence_subgraph(g: EventGraph, seq: LogSequence) -> Subgraph:
@@ -244,5 +211,5 @@ def induce_sequence_subgraph(g: EventGraph, seq: LogSequence) -> Subgraph:
 
     Empty subgraphs are permitted (sequence contains no keywords).
     """
-    ids = sorted({g.index[tok] for tok in seq.tokens if tok in g.index})
-    return Subgraph(graph=g, vertex_ids=np.array(ids, dtype=np.int64))
+    index = g.index
+    return Subgraph(graph=g, vertex_ids=[index[tok] for tok in seq.tokens if tok in index])

@@ -79,6 +79,19 @@ def _document_frequencies(corpus: ClassifiedCorpus) -> Counter:
     return df
 
 
+def _term_frequencies(corpus: ClassifiedCorpus, class_t: int) -> Counter:
+    """Raw token occurrence counts across the class-t sequences."""
+    tf: Counter = Counter()
+    n_in_class = 0
+    for seq, lbl in corpus:
+        if lbl == class_t:
+            n_in_class += 1
+            tf.update(seq.tokens)
+    if n_in_class == 0:
+        raise KeywordError(f"corpus has no sequence in class {class_t}")
+    return tf
+
+
 def _idf(df: int, n_docs: int) -> float:
     return math.log((n_docs + 1) / (df + 1)) + 1.0
 
@@ -92,13 +105,10 @@ def score(word: str, class_t: int, corpus: ClassifiedCorpus, M: int) -> float:
     """
     if M < 1:
         raise KeywordError("IDF exponent M must be >= 1")
-    if not any(lbl == class_t for _, lbl in corpus):
-        raise KeywordError(f"corpus has no sequence in class {class_t}")
-    tf = sum(seq.tokens.count(word) for seq, lbl in corpus if lbl == class_t)
+    tf = _term_frequencies(corpus, class_t)[word]
     if tf == 0:
         return 0.0
-    df = sum(1 for seq, _ in corpus if word in set(seq.tokens))
-    return tf * _idf(df, len(corpus)) ** M
+    return tf * _idf(_document_frequencies(corpus)[word], len(corpus)) ** M
 
 
 def extract_top(
@@ -124,16 +134,8 @@ def extract_top(
     lists: dict[int, list[tuple[str, float]]] = {}
     warnings: list[str] = []
     for class_t in (NORMAL, ANOMALY):
-        tf: Counter = Counter()
-        n_in_class = 0
-        for seq, lbl in corpus:
-            if lbl == class_t:
-                n_in_class += 1
-                tf.update(seq.tokens)
-        if n_in_class == 0:
-            raise KeywordError(f"corpus has no sequence in class {class_t}")
         scored = []
-        for word, count in tf.items():
+        for word, count in _term_frequencies(corpus, class_t).items():
             if word == NUM_SENTINEL or word in stop:
                 continue
             s = count * _idf(df[word], n_docs) ** M

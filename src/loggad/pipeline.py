@@ -266,8 +266,10 @@ def run_iteration(
         )
         if config.annotator_mode == "full":
             length_model = walks.fit_length_model(corpus, keywords, l_max=config.walk_max_length)
-            policy = eg.transition_probabilities(g)
-            sampler = walks.WalkSampler(g, policy, length_model, _rng(config.seed, iteration, 2))
+            transitions = eg.transition_probabilities(g)
+            sampler = walks.WalkSampler(
+                g, transitions, length_model, _rng(config.seed, iteration, 2)
+            )
             steps = config.annotator_epochs * math.ceil(len(corpus) / config.annotator_batch)
             pretrain_trace = ann.pretrain(
                 annotator_model,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from loggad.graph import EventGraph, Subgraph, WalkPolicy
+from loggad.graph import EventGraph, Subgraph
 from loggad.ingest import LogSequence
 from loggad.keywords import KeywordSet
 
@@ -66,14 +66,16 @@ def fit_length_model(
 
 def sample_walk(
     g: EventGraph,
-    policy: WalkPolicy,
+    transitions: np.ndarray,
     model: WalkLengthModel,
     rng: np.random.Generator,
 ) -> WalkSample:
     """One self-supervision sample: class, start keyword, walked subgraph.
 
-    The walk takes up to L transition steps and stops early at dead ends;
-    repeated visits collapse into the distinct-vertex set.
+    ``transitions`` holds the row-cumulative probabilities of
+    ``graph.transition_probabilities``. The walk takes up to L transition
+    steps and stops early at dead ends (all-zero rows); repeated visits
+    collapse into the distinct-vertex set.
     """
     start_class = int(rng.integers(2))
     candidates = g.class_vertices(start_class)
@@ -84,26 +86,25 @@ def sample_walk(
     visited = {start}
     current = start
     for _ in range(length):
-        if policy.is_dead_end(current):
+        cum = transitions[current]
+        if cum[-1] == 0.0:
             break
-        neighbors = policy.neighbors[current]
-        cum = policy.cumulative[current]
-        current = int(neighbors[np.searchsorted(cum, rng.random(), side="right")])
+        current = int(np.searchsorted(cum, rng.random(), side="right"))
         visited.add(current)
     return WalkSample(
         start_class=start_class,
         start_word=g.words[start],
-        subgraph=Subgraph(graph=g, vertex_ids=np.array(sorted(visited), dtype=np.int64)),
+        subgraph=Subgraph(graph=g, vertex_ids=list(visited)),
     )
 
 
 class WalkSampler:
-    """Bundles graph, policy, length model and a seeded RNG."""
+    """Bundles graph, transition rows, length model and a seeded RNG."""
 
     def __init__(
         self,
         g: EventGraph,
-        policy: WalkPolicy,
+        transitions: np.ndarray,
         model: WalkLengthModel,
         rng: np.random.Generator,
     ):
@@ -111,12 +112,12 @@ class WalkSampler:
             if g.class_vertices(class_t).size == 0:
                 raise WalkError(f"class {class_t} has no keyword present in the graph")
         self.graph = g
-        self.policy = policy
+        self.transitions = transitions
         self.model = model
         self.rng = rng
 
     def sample(self) -> WalkSample:
-        return sample_walk(self.graph, self.policy, self.model, self.rng)
+        return sample_walk(self.graph, self.transitions, self.model, self.rng)
 
     def sample_batch(self, n: int) -> list[WalkSample]:
         return [self.sample() for _ in range(n)]

@@ -7,6 +7,7 @@ a few minutes of wall clock for the whole file.
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,6 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+# perfbench/selftest.py loads this file by path for synthesize_bgl, with no
+# tests directory on the import path.
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from graph_literals import edge_literal, frequency_matrix, out_neighbors, step_probabilities
 from loggad import annotator as ann
 from loggad import classifier as clf
 from loggad import evaluation as ev
@@ -133,7 +138,9 @@ def random_graph(rng, n):
         for j in range(i + 1, n):
             if rng.random() < 0.5:
                 edges[(i, j)] = int(rng.integers(1, 5))
-    return EventGraph(words=[f"w{i}" for i in range(n)], class_flags=flags, edges=edges)
+    return EventGraph(
+        words=[f"w{i}" for i in range(n)], class_flags=flags, frequency=frequency_matrix(n, edges)
+    )
 
 
 def random_subgraph(rng, g):
@@ -234,7 +241,7 @@ class TestEquationOracles:
         g = build(ks, corpus, cooccur_window=3)
         expected = self.brute_adjacency(ks, corpus, 3)
         got = {
-            tuple(sorted((g.words[i], g.words[j]))): f for (i, j), f in g.edges.items()
+            tuple(sorted((g.words[i], g.words[j]))): f for (i, j), f in edge_literal(g).items()
         }
         assert got == expected
 
@@ -254,13 +261,13 @@ class TestEquationOracles:
         g = build(ks, [s for s, _ in TOY], cooccur_window=5)
         policy = transition_probabilities(g)
         for v in range(g.n_vertices):
-            if policy.is_dead_end(v):
+            if not policy[v].any():  # dead end
                 continue
-            row = policy.probabilities[v]
+            row = step_probabilities(g, policy, v)
             assert abs(row.sum() - 1.0) <= 1e-12
             # Eq 6: each entry proportional to the edge frequency
             freqs = np.array(
-                [g.edges.get(tuple(sorted((v, u))), 0) for u in policy.neighbors[v]],
+                [edge_literal(g).get(tuple(sorted((v, u))), 0) for u in out_neighbors(g, v)],
                 dtype=float,
             )
             assert np.allclose(row, freqs / freqs.sum(), atol=1e-12)
@@ -308,7 +315,9 @@ class TestGinInvariants:
         # input features and the logits reduce to an affine map of the
         # stacked feature sums
         rng = np.random.default_rng(404)
-        g = EventGraph(words=["a", "b", "c"], class_flags=np.ones((3, 2)), edges={})
+        g = EventGraph(
+            words=["a", "b", "c"], class_flags=np.ones((3, 2)), frequency=frequency_matrix(3, {})
+        )
         sg = Subgraph(graph=g, vertex_ids=np.array([0, 1, 2]))
         model = AnnotatorModel.create(
             g.features.shape[1], rng, n_layers=3, hidden=8,
@@ -333,14 +342,14 @@ class TestWalkStatistics:
         g = EventGraph(
             words=["center", "b", "c"],
             class_flags=np.ones((3, 2)),
-            edges={(0, 1): 3, (0, 2): 1},
+            frequency=frequency_matrix(3, {(0, 1): 3, (0, 2): 1}),
         )
         policy = transition_probabilities(g)
         rng = np.random.default_rng(55)
         n = 100_000
         hits = {1: 0, 2: 0}
-        cum = policy.cumulative[0]
-        neighbors = policy.neighbors[0]
+        cum = policy[0]
+        neighbors = np.arange(g.n_vertices)  # a row's columns are vertex ids
         for _ in range(n):
             nxt = int(neighbors[np.searchsorted(cum, rng.random(), side="right")])
             hits[nxt] += 1
@@ -354,7 +363,7 @@ class TestWalkStatistics:
         g = EventGraph(
             words=["n0", "n1", "a0", "a1"],
             class_flags=flags,
-            edges={(0, 2): 1, (1, 3): 2},
+            frequency=frequency_matrix(4, {(0, 2): 1, (1, 3): 2}),
         )
         sampler = WalkSampler(
             g, transition_probabilities(g), WalkLengthModel(mu=2.0, sigma2=1.0),

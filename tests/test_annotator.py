@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from graph_literals import frequency_matrix
 from loggad import annotator as ann
 from loggad import nn
 from loggad.annotator import (
@@ -49,7 +50,9 @@ def random_graph(rng, n=6, p_edge=0.5):
         for j in range(i + 1, n):
             if rng.random() < p_edge:
                 edges[(i, j)] = int(rng.integers(1, 5))
-    return EventGraph(words=[f"w{i}" for i in range(n)], class_flags=flags, edges=edges)
+    return EventGraph(
+        words=[f"w{i}" for i in range(n)], class_flags=flags, frequency=frequency_matrix(n, edges)
+    )
 
 
 def random_subgraph(rng, g):
@@ -213,7 +216,9 @@ class TestIdentityMode:
         # identity layers with zero eps on an edgeless subgraph reduce to
         # the head applied to K+1 stacked copies of the feature sum.
         rng = np.random.default_rng(5)
-        g = EventGraph(words=["a", "b"], class_flags=np.ones((2, 2)), edges={})
+        g = EventGraph(
+            words=["a", "b"], class_flags=np.ones((2, 2)), frequency=frequency_matrix(2, {})
+        )
         sg = Subgraph(graph=g, vertex_ids=np.array([0, 1]))
         model = AnnotatorModel.create(
             g.features.shape[1], rng, n_layers=3, hidden=8,

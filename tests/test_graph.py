@@ -15,6 +15,7 @@ from loggad.graph import (
     induce_sequence_subgraph,
     transition_probabilities,
 )
+from graph_literals import edge_literal, frequency_matrix, step_probabilities
 from loggad.ingest import LogSequence
 from loggad.keywords import ANOMALY, NORMAL, KeywordSet
 
@@ -47,13 +48,13 @@ class TestBuild:
     def test_single_edge(self):
         g = build(kwset(["failed"], ["denied"]), seqs(["failed", "denied", "ok"]), 5)
         assert g.words == ["denied", "failed"]
-        assert g.edges == {(0, 1): 1}
+        assert edge_literal(g) == {(0, 1): 1}
 
     def test_isolated_vertex(self):
         corpus = seqs(["lonely"] + ["pad"] * 15 + ["failed", "denied"])
         g = build(kwset(["failed", "lonely"], ["denied"]), corpus, 5)
         i = g.index["lonely"]
-        assert all(i not in edge for edge in g.edges)
+        assert all(i not in edge for edge in edge_literal(g))
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(3)
@@ -66,7 +67,7 @@ class TestBuild:
         g = build(ks, corpus, 4)
         expected = oracle_adjacency(ks, corpus, 4)
         got = {
-            (g.words[i], g.words[j]): f for (i, j), f in g.edges.items()
+            (g.words[i], g.words[j]): f for (i, j), f in edge_literal(g).items()
         }
         got = {tuple(sorted(k)): v for k, v in got.items()}
         assert got == expected
@@ -85,10 +86,10 @@ class TestBuild:
 
     def test_window_bound_respected(self):
         corpus = seqs(["failed"] + ["pad"] * 10 + ["denied"])
-        assert build(kwset(["failed"], ["denied"]), corpus, 11).edges != {}
+        assert edge_literal(build(kwset(["failed"], ["denied"]), corpus, 11)) != {}
         # Both words still occur, so the graph builds, just with zero edges.
         g = build(kwset(["failed"], ["denied"]), corpus, 10)
-        assert g.edges == {}
+        assert edge_literal(g) == {}
 
     def test_deterministic_rebuild(self):
         rng = np.random.default_rng(0)
@@ -110,8 +111,8 @@ class TestBuild:
     def test_directed_counts_order(self):
         g = build(kwset(["a"], ["b"]), seqs(["a", "b", "a"]), 5, directed=True)
         ia, ib = g.index["a"], g.index["b"]
-        assert g.edges[(ia, ib)] == 1  # a followed by b
-        assert g.edges[(ib, ia)] == 1  # b followed by a
+        assert edge_literal(g)[(ia, ib)] == 1  # a followed by b
+        assert edge_literal(g)[(ib, ia)] == 1  # b followed by a
 
     def test_features_shape_and_content(self):
         g = build(kwset(["failed"], ["denied"]), seqs(["failed", "denied"]), 5)
@@ -129,22 +130,96 @@ class TestBuild:
         assert obj["edges"] == [[0, 1, 1]]
 
 
+def oracle_frequency(words, corpus, window, directed):
+    """Dense counts from every position pair of every sequence, one at a time."""
+    index = {w: i for i, w in enumerate(words)}
+    freq = np.zeros((len(words), len(words)), dtype=np.int64)
+    for s in corpus:
+        for p, ta in enumerate(s.tokens):
+            for tb in s.tokens[p + 1 : p + 1 + window]:
+                if ta in index and tb in index and ta != tb:
+                    freq[index[ta], index[tb]] += 1
+                    if not directed:
+                        freq[index[tb], index[ta]] += 1
+    return freq
+
+
+class TestDenseCounting:
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("window", [1, 2, 3, 6, 20])
+    def test_matches_pair_oracle(self, window, directed):
+        # sequences of 1-14 tokens, so window 20 spans every sequence
+        rng = np.random.default_rng(10 * window + directed)
+        vocab = [f"w{i}" for i in range(10)]
+        ks = kwset(vocab[:4], vocab[3:7])
+        for _ in range(10):
+            corpus = [
+                LogSequence(
+                    id=f"s{i}", tokens=["w0"] + list(rng.choice(vocab, size=rng.integers(0, 14)))
+                )
+                for i in range(rng.integers(1, 12))
+            ]
+            g = build(ks, corpus, window, directed=directed)
+            occurring = {t for s in corpus for t in s.tokens} & ks.all_words()
+            assert g.words == sorted(occurring)
+            expected = oracle_frequency(g.words, corpus, window, directed)
+            assert g.frequency.dtype == np.int64
+            assert np.array_equal(g.frequency, expected)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("window", [1, 2, 5])
+    def test_no_count_across_sequences(self, window, directed):
+        # "a" ends the first sequence and "b" starts the second: adjacent if
+        # the sequences ran together. Only the third sequence's pair counts.
+        corpus = seqs(["x", "x", "a"], ["b", "x", "x"], ["a", "b"])
+        g = build(kwset(["a"], ["b"]), corpus, window, directed=directed)
+        assert edge_literal(g) == {(0, 1): 1}
+
+    def test_directed_json_lists_both_orders(self):
+        g = build(kwset(["a"], ["b"]), seqs(["a", "b", "b", "a", "b"]), 5, directed=True)
+        assert json.loads(g.to_json())["edges"] == [[0, 1, 4], [1, 0, 2]]
+        assert g.adjacency.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
 class TestInvariants:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError):
-            EventGraph(words=["a"], class_flags=np.ones((1, 2)), edges={(0, 0): 1})
+            EventGraph(
+                words=["a"], class_flags=np.ones((1, 2)), frequency=frequency_matrix(1, {(0, 0): 1})
+            )
 
-    def test_zero_frequency_rejected(self):
+    def test_asymmetric_undirected_frequency_rejected(self):
+        freq = frequency_matrix(2, {(0, 1): 1}, directed=True)
         with pytest.raises(GraphError):
-            EventGraph(words=["a", "b"], class_flags=np.ones((2, 2)), edges={(0, 1): 0})
+            EventGraph(words=["a", "b"], class_flags=np.ones((2, 2)), frequency=freq)
+        g = EventGraph(words=["a", "b"], class_flags=np.ones((2, 2)), frequency=freq, directed=True)
+        assert edge_literal(g) == {(0, 1): 1}
+
+    def test_directed_self_loop_rejected(self):
+        freq = frequency_matrix(2, {(1, 1): 1}, directed=True)
+        with pytest.raises(GraphError):
+            EventGraph(words=["a", "b"], class_flags=np.ones((2, 2)), frequency=freq, directed=True)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_negative_count_rejected(self, directed):
+        freq = frequency_matrix(2, {(0, 1): -1}, directed)
+        with pytest.raises(GraphError):
+            EventGraph(
+                words=["a", "b"], class_flags=np.ones((2, 2)), frequency=freq, directed=directed
+            )
+
+    def test_wrong_shape_or_dtype_rejected(self):
+        for freq in (np.zeros((2, 3), dtype=np.int64), np.zeros((2, 2))):
+            with pytest.raises(GraphError):
+                EventGraph(words=["a", "b"], class_flags=np.ones((2, 2)), frequency=freq)
 
     def test_classless_vertex_rejected(self):
         with pytest.raises(GraphError):
-            EventGraph(words=["a"], class_flags=np.zeros((1, 2)), edges={})
+            EventGraph(words=["a"], class_flags=np.zeros((1, 2)), frequency=frequency_matrix(1, {}))
 
     def test_vocab_hash_changes_with_words(self):
-        g1 = EventGraph(words=["a"], class_flags=np.ones((1, 2)), edges={})
-        g2 = EventGraph(words=["b"], class_flags=np.ones((1, 2)), edges={})
+        g1 = EventGraph(words=["a"], class_flags=np.ones((1, 2)), frequency=frequency_matrix(1, {}))
+        g2 = EventGraph(words=["b"], class_flags=np.ones((1, 2)), frequency=frequency_matrix(1, {}))
         assert g1.vocab_hash != g2.vocab_hash
 
 
@@ -153,23 +228,31 @@ class TestTransitionProbabilities:
         g = EventGraph(
             words=["a", "b", "c"],
             class_flags=np.ones((3, 2)),
-            edges={(0, 1): 3, (0, 2): 1},
+            frequency=frequency_matrix(3, {(0, 1): 3, (0, 2): 1}),
         )
         policy = transition_probabilities(g)
         ia = g.index["a"]
-        assert policy.probabilities[ia].tolist() == [0.75, 0.25]
+        assert step_probabilities(g, policy, ia).tolist() == [0.75, 0.25]
 
     def test_single_neighbor_probability_one(self):
-        g = EventGraph(words=["a", "b"], class_flags=np.ones((2, 2)), edges={(0, 1): 7})
+        g = EventGraph(
+            words=["a", "b"],
+            class_flags=np.ones((2, 2)),
+            frequency=frequency_matrix(2, {(0, 1): 7}),
+        )
         policy = transition_probabilities(g)
-        assert policy.probabilities[0].tolist() == [1.0]
-        assert policy.probabilities[1].tolist() == [1.0]
+        assert step_probabilities(g, policy, 0).tolist() == [1.0]
+        assert step_probabilities(g, policy, 1).tolist() == [1.0]
 
     def test_dead_end_rows(self):
-        g = EventGraph(words=["a", "b", "c"], class_flags=np.ones((3, 2)), edges={(0, 1): 1})
+        g = EventGraph(
+            words=["a", "b", "c"],
+            class_flags=np.ones((3, 2)),
+            frequency=frequency_matrix(3, {(0, 1): 1}),
+        )
         policy = transition_probabilities(g)
-        assert policy.is_dead_end(2)
-        assert not policy.is_dead_end(0)
+        assert not policy[2].any()  # all-zero row: dead end
+        assert policy[0].any()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -181,10 +264,11 @@ class TestTransitionProbabilities:
             i, j = sorted(rng.choice(n, size=2, replace=False))
             edges[(int(i), int(j))] = int(rng.integers(1, 9))
         g = EventGraph(
-            words=[f"w{i}" for i in range(n)], class_flags=np.ones((n, 2)), edges=edges
+            words=[f"w{i}" for i in range(n)], class_flags=np.ones((n, 2)),
+            frequency=frequency_matrix(n, edges),
         )
         policy = transition_probabilities(g)
-        for row in policy.probabilities:
+        for row in (step_probabilities(g, policy, v) for v in range(n)):
             if row.size:
                 assert abs(row.sum() - 1.0) <= 1e-12
 
@@ -216,7 +300,7 @@ class TestInducedSubgraph:
             members = set(sg.vertex_ids.tolist())
             expected = {
                 tuple(sorted((i, j)))
-                for (i, j) in g.edges
+                for (i, j) in edge_literal(g)
                 if i in members and j in members
             }
             adj = sg.adjacency

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from graph_literals import edge_literal, frequency_matrix
 from loggad.graph import EventGraph, build, transition_probabilities
 from loggad.ingest import LogSequence
 from loggad.keywords import KeywordSet
@@ -91,14 +92,14 @@ def two_class_graph():
     return EventGraph(
         words=["a", "b", "c", "d"],
         class_flags=flags,
-        edges={(0, 1): 1, (1, 2): 1, (2, 3): 1},
+        frequency=frequency_matrix(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1}),
     )
 
 
 class TestSampleWalk:
     def test_single_vertex_graph_dead_end(self):
         flags = np.ones((1, 2))
-        g = EventGraph(words=["only"], class_flags=flags, edges={})
+        g = EventGraph(words=["only"], class_flags=flags, frequency=frequency_matrix(1, {}))
         policy = transition_probabilities(g)
         model = WalkLengthModel(mu=10.0, sigma2=0.0)
         sample = sample_walk(g, policy, model, np.random.default_rng(0))
@@ -107,7 +108,9 @@ class TestSampleWalk:
 
     def test_two_vertex_chain_visits_both(self):
         flags = np.ones((2, 2))
-        g = EventGraph(words=["x", "y"], class_flags=flags, edges={(0, 1): 1})
+        g = EventGraph(
+            words=["x", "y"], class_flags=flags, frequency=frequency_matrix(2, {(0, 1): 1})
+        )
         policy = transition_probabilities(g)
         model = WalkLengthModel(mu=3.0, sigma2=0.0)
         sample = sample_walk(g, policy, model, np.random.default_rng(0))
@@ -132,7 +135,7 @@ class TestSampleWalk:
             sg = sample_walk(g, policy, model, rng).subgraph
             members = set(sg.vertex_ids.tolist())
             pos = {int(v): k for k, v in enumerate(sg.vertex_ids)}
-            for (i, j) in g.edges:
+            for (i, j) in edge_literal(g):
                 if i in members and j in members:
                     assert sg.adjacency[pos[i], pos[j]] == 1.0
 
@@ -154,7 +157,9 @@ class TestSampleWalk:
     def test_missing_class_rejected(self):
         flags = np.zeros((2, 2))
         flags[:, 0] = 1.0  # class 1 empty
-        g = EventGraph(words=["x", "y"], class_flags=flags, edges={(0, 1): 1})
+        g = EventGraph(
+            words=["x", "y"], class_flags=flags, frequency=frequency_matrix(2, {(0, 1): 1})
+        )
         policy = transition_probabilities(g)
         model = WalkLengthModel(mu=1.0, sigma2=0.0)
         with pytest.raises(WalkError):
@@ -169,14 +174,14 @@ class TestMonteCarlo:
         g = EventGraph(
             words=["center", "b", "c"],
             class_flags=flags,
-            edges={(0, 1): 3, (0, 2): 1},
+            frequency=frequency_matrix(3, {(0, 1): 3, (0, 2): 1}),
         )
         policy = transition_probabilities(g)
         rng = np.random.default_rng(123)
         n = 100_000
         hits = {1: 0, 2: 0}
-        cum = policy.cumulative[0]
-        neighbors = policy.neighbors[0]
+        cum = policy[0]
+        neighbors = np.arange(g.n_vertices)  # a row's columns are vertex ids
         for _ in range(n):
             nxt = int(neighbors[np.searchsorted(cum, rng.random(), side="right")])
             hits[nxt] += 1
