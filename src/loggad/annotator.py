@@ -18,8 +18,9 @@ tests and ``annotate`` all run this one pass.
 Training happens in two phases: self-supervised pre-training on random-walk
 subgraphs (predict the walk's start class), then fine-tuning on sequence
 subgraphs against decisive keyword-count votes, with the previous
-iteration's classifier labels standing in for indecisive ones. The trained
-model then pseudo-labels every sequence.
+iteration's classifier labels standing in for indecisive ones. Both phases
+run through ``nn.fit``; they differ only in the batches they feed it. The
+trained model then pseudo-labels every sequence.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -248,24 +250,6 @@ def loss_and_grads(model: AnnotatorModel, sgs, targets) -> tuple[float, nn.Param
     return loss, {name: grads[name] for name in p}
 
 
-def _train_batches(
-    model: AnnotatorModel,
-    batches,
-    lr: float,
-    loss_trace: list[float],
-) -> None:
-    adam = nn.Adam(model.params, lr=lr, clip_norm=5.0)
-    for batch in batches:
-        loss, grads = loss_and_grads(model, [sg for sg, _ in batch], [t for _, t in batch])
-        if not np.isfinite(loss):
-            raise nn.TrainingDiverged(
-                f"non-finite annotator loss {loss} at step {len(loss_trace)}; "
-                f"lr={lr} may be too large or gradients exploded"
-            )
-        loss_trace.append(loss)
-        adam.step(grads)
-
-
 def pretrain(
     model: AnnotatorModel,
     sampler: WalkSampler,
@@ -278,18 +262,11 @@ def pretrain(
     Mutates the model in place and returns the loss trace. 0 steps leave
     the model unchanged.
     """
-
-    def batches():
-        for _ in range(steps):
-            yield [
-                (s.subgraph, s.start_class)
-                for s in sampler.sample_batch(batch_size)
-                if not s.subgraph.is_empty
-            ]
-
-    trace: list[float] = []
-    _train_batches(model, batches(), lr, trace)
-    return trace
+    batches = (
+        [(s.subgraph, s.start_class) for s in sampler.sample_batch(batch_size)]
+        for _ in range(steps)
+    )
+    return nn.fit(model.params, partial(loss_and_grads, model), batches, lr, "annotator")
 
 
 def vote_counts(seq: LogSequence, keywords: KeywordSet) -> tuple[int, int]:
@@ -388,17 +365,8 @@ def finetune(
             "or the margin threshold is too strict and no prior labels cover "
             "the indecisive votes"
         )
-    rng = rng or np.random.default_rng(0)
-
-    def batches():
-        for _ in range(epochs):
-            order = rng.permutation(len(pairs))
-            for start in range(0, len(order), batch_size):
-                yield [pairs[i] for i in order[start : start + batch_size]]
-
-    trace: list[float] = []
-    _train_batches(model, batches(), lr, trace)
-    return trace
+    batches = nn.minibatches(pairs, epochs, batch_size, rng or np.random.default_rng(0))
+    return nn.fit(model.params, partial(loss_and_grads, model), batches, lr, "annotator")
 
 
 ANNOTATE_BLOCK = 32  # sequences per batched forward pass in annotate

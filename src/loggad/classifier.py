@@ -12,13 +12,16 @@ pooling is one segment sum (``np.add.reduceat``), and the embedding
 gradient is scattered back with ``np.add.at``. A single sequence is a batch
 of one. ``predict`` runs the same forward pass over fixed-size blocks of
 the corpus, and its dense layers use a row-by-row product so a sequence's
-prediction does not depend on which sequences share the call.
+prediction does not depend on which sequences share the call. ``train``
+runs the minibatch Adam loop of ``nn.fit``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
 
 import numpy as np
@@ -201,23 +204,8 @@ def train(
     ]
     if not examples:
         raise ClassifierError("every sequence is entirely out-of-vocabulary")
-    rng = rng or np.random.default_rng(0)
-    adam = nn.Adam(model.params, lr=lr, clip_norm=5.0)
-    trace: list[float] = []
-    for _ in range(epochs):
-        order = rng.permutation(len(examples))
-        for start in range(0, len(order), batch_size):
-            batch = [examples[i] for i in order[start : start + batch_size]]
-            loss, grads = loss_and_grads(
-                model, [tokens for tokens, _ in batch], [target for _, target in batch]
-            )
-            if not np.isfinite(loss):
-                raise nn.TrainingDiverged(
-                    f"non-finite classifier loss at step {len(trace)}; lr={lr}"
-                )
-            trace.append(loss)
-            adam.step(grads)
-    return trace
+    batches = nn.minibatches(examples, epochs, batch_size, rng or np.random.default_rng(0))
+    return nn.fit(model.params, partial(loss_and_grads, model), batches, lr, "classifier")
 
 
 PREDICT_BLOCK = 128  # sequences per forward pass: bounds the gathered embedding rows
@@ -239,3 +227,17 @@ def predict(
         confidences = probs[np.arange(len(block)), labels]
         out.extend(zip([seq.id for seq in block], labels.tolist(), confidences.tolist()))
     return out
+
+
+def prediction_lines(predictions: list[tuple[str, int, float]]) -> list[str]:
+    """The bytes of ``json.dumps({"id", "label", "confidence"})`` per line.
+
+    Confidences are rounded to 12 places. json writes a str with
+    ``encode_basestring_ascii`` and a finite float with ``float.__repr__``;
+    formatting the three fields directly skips building a dict per line.
+    """
+    return [
+        '{"id": ' + encode_basestring_ascii(sid) + ', "label": ' + str(label)
+        + ', "confidence": ' + repr(round(conf, 12)) + "}\n"
+        for sid, label, conf in predictions
+    ]

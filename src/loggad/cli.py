@@ -15,7 +15,6 @@ import os
 import sys
 from dataclasses import replace
 from itertools import islice
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from loggad import classifier as clf
@@ -119,27 +118,13 @@ def cmd_detect(args) -> int:
     try:
         with open(partial, "w", encoding="utf-8") as fh:
             while block := list(islice(sequences, DETECT_BLOCK)):
-                fh.writelines(_prediction_lines(clf.predict(model, block)))
+                fh.writelines(clf.prediction_lines(clf.predict(model, block)))
                 written += len(block)
         os.replace(partial, out)
     finally:
         partial.unlink(missing_ok=True)
     print(f"wrote {written} predictions to {args.out}")
     return EXIT_OK
-
-
-def _prediction_lines(predictions: list[tuple[str, int, float]]) -> list[str]:
-    """The bytes of ``json.dumps({"id", "label", "confidence"})`` per line.
-
-    Confidences are rounded to 12 places. json writes a str with
-    ``encode_basestring_ascii`` and a finite float with ``float.__repr__``;
-    formatting the three fields directly skips building a dict per line.
-    """
-    return [
-        '{"id": ' + encode_basestring_ascii(sid) + ', "label": ' + str(label)
-        + ', "confidence": ' + repr(round(conf, 12)) + "}\n"
-        for sid, label, conf in predictions
-    ]
 
 
 def cmd_report(args) -> int:

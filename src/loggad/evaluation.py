@@ -172,10 +172,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LogSequence]:
     shared = list(spec.shared_vocab)
     anomalous = list(spec.anomaly_vocab)
     anomalous_set = set(anomalous)
-    shared_exp = spec.zipf_exponent if spec.shared_zipf is None else spec.shared_zipf
-    p_shared = zipf_probs(len(shared), shared_exp)
-    anomaly_exp = spec.zipf_exponent if spec.anomaly_zipf is None else spec.anomaly_zipf
-    p_anomalous = zipf_probs(len(anomalous), anomaly_exp)
+    p_shared = zipf_probs(len(shared), spec.shared_zipf)
+    p_anomalous = zipf_probs(len(anomalous), spec.anomaly_zipf)
 
     k = spec.n_communities
     if k < 1 or k > len(normal):

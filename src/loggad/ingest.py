@@ -190,15 +190,24 @@ def _sequence_from_json(line: str) -> LogSequence:
     for key, typ in (("id", str), ("tokens", list)):
         if not isinstance(obj.get(key), typ):
             raise IngestError(f"{key!r} is missing or not a {typ.__name__}")
-    return LogSequence(id=obj["id"], tokens=obj["tokens"], gold_label=obj.get("gold_label"))
+    tokens = obj["tokens"]
+    try:
+        "".join(tokens)  # the cheapest full check that every token is a str
+    except TypeError:
+        raise IngestError("'tokens' holds a non-string token") from None
+    gold = obj.get("gold_label")
+    if gold is not None and (type(gold) is not int or gold not in (0, 1)):
+        raise IngestError(f"'gold_label' must be 0, 1 or null, got {gold!r}")
+    return LogSequence(id=obj["id"], tokens=tokens, gold_label=gold)
 
 
 def iter_jsonl(path) -> Iterator[LogSequence]:
     """Yield one sequence per non-blank line of a JSONL file, read lazily.
 
-    Each line is an object with a string ``id``, a non-empty list of
-    ``tokens`` and an optional ``gold_label``. A line that breaks this
-    raises IngestError naming the file and its line number (from 1).
+    Each line is an object with a string ``id``, a non-empty list of string
+    ``tokens`` and an optional ``gold_label`` of 0, 1 or null. A line that
+    breaks this raises IngestError naming the file and its line number
+    (from 1).
     """
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):

@@ -2,13 +2,15 @@
 
 Everything runs in float64. No autodiff: each model supplies its own
 analytic gradients, verified against finite differences in the test suite.
+All training runs through ``fit``: annotator pre-training and fine-tuning
+and the classifier are the same minibatch Adam loop over different batches.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict
+from typing import Callable, Dict, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,39 +62,70 @@ def zeros_like_params(params: Params) -> Params:
     return {k: np.zeros_like(v) for k, v in params.items()}
 
 
-class Adam:
-    """Adam with optional global-norm gradient clipping."""
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+CLIP_NORM = 5.0  # gradients are rescaled to this global norm before each step
 
-    def __init__(
-        self,
-        params: Params,
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        clip_norm: float | None = 5.0,
-    ):
+
+class Adam:
+    """Adam with global-norm gradient clipping at ``CLIP_NORM``."""
+
+    def __init__(self, params: Params, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.clip_norm = clip_norm
         self.t = 0
         self.m = zeros_like_params(params)
         self.v = zeros_like_params(params)
 
     def step(self, grads: Params) -> None:
-        if self.clip_norm is not None:
-            clip_global_norm(grads, self.clip_norm)
+        clip_global_norm(grads, CLIP_NORM)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         correction = np.sqrt(1 - b2**self.t) / (1 - b1**self.t)
         for k, p in self.params.items():
             g = grads[k]
             self.m[k] = b1 * self.m[k] + (1 - b1) * g
             self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            p -= self.lr * correction * self.m[k] / (np.sqrt(self.v[k]) + self.eps)
+            p -= self.lr * correction * self.m[k] / (np.sqrt(self.v[k]) + EPS)
+
+
+def minibatches(
+    items: Sequence, epochs: int, batch_size: int, rng: np.random.Generator
+) -> Iterator[list]:
+    """``epochs`` passes over ``items``, each in a fresh ``rng.permutation``
+    order, cut into batches of ``batch_size`` (the last one may be short)."""
+    for _ in range(epochs):
+        order = rng.permutation(len(items))
+        for start in range(0, len(order), batch_size):
+            yield [items[i] for i in order[start : start + batch_size]]
+
+
+def fit(
+    params: Params,
+    loss_and_grads: Callable[[list, list], tuple[float, Params]],
+    batches: Iterable[list],
+    lr: float,
+    name: str,
+) -> list[float]:
+    """Train ``params`` in place with one Adam step per batch of
+    (input, target) pairs; returns the loss of every batch.
+
+    ``loss_and_grads(inputs, targets)`` gives a batch's loss and gradients.
+    A non-finite loss raises TrainingDiverged before its step is taken.
+    """
+    adam = Adam(params, lr)
+    trace: list[float] = []
+    for batch in batches:
+        loss, grads = loss_and_grads([x for x, _ in batch], [t for _, t in batch])
+        if not np.isfinite(loss):
+            raise TrainingDiverged(
+                f"non-finite {name} loss {loss} at step {len(trace)}; "
+                f"lr={lr} may be too large or gradients exploded"
+            )
+        trace.append(loss)
+        adam.step(grads)
+    return trace
 
 
 def save_checkpoint(path, params: Params, meta: dict) -> None:

@@ -48,6 +48,7 @@ from loggad.keywords import (
     drift,
     extract_top,
     load_stopwords,
+    score,
 )
 
 
@@ -202,10 +203,8 @@ def bootstrap(
             raise PipelineError(f"no sequence contains any seed keyword {seeds}")
         if n_hits == len(corpus):
             raise PipelineError("every sequence contains a seed keyword; cannot split")
-        from loggad.keywords import score as kw_score
-
         anomaly_list = sorted(
-            ((w, kw_score(w, ANOMALY, classified, config.idf_exponent)) for w in seed_set),
+            ((w, score(w, ANOMALY, classified, config.idf_exponent)) for w in seed_set),
             key=lambda item: (-item[1], item[0]),
         )
         # Initial normal list kept as short as the seed list: symmetric list
@@ -432,10 +431,7 @@ def _write_iteration_artifacts(out: Path, record, pseudo, predictions) -> None:
                 + "\n"
             )
     with open(out / f"predictions_{k:03d}.jsonl", "w") as fh:
-        for sid, label, conf in predictions:
-            fh.write(
-                json.dumps({"id": sid, "label": label, "confidence": round(conf, 12)}) + "\n"
-            )
+        fh.writelines(clf.prediction_lines(predictions))
 
 
 def _write_manifest(out: Path, config: PipelineConfig, corpus, result: PipelineResult) -> None:

@@ -285,6 +285,17 @@ class TestDetectStreaming:
         assert run(["eval", "--predictions", str(preds), "--gold", str(path)]) == EXIT_ERROR
         assert "line 2:" in capsys.readouterr().err
 
+    def test_train_rejects_a_non_string_token_naming_its_line(
+        self, tmp_path, synth_corpus, capsys
+    ):
+        lines = synth_corpus.read_text().splitlines()
+        lines[6] = '{"id": "bad", "tokens": ["fault0_trap", 7], "gold_label": 1}'
+        path = tmp_path / "seqs.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert run(train_args(path, tmp_path / "run")) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "line 7:" in err and "non-string token" in err
+
     def test_peak_memory_does_not_grow_with_the_input(self, tmp_path, model_dir):
         peaks = []
         for n in (2_500, 20_000):

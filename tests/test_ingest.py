@@ -224,6 +224,13 @@ class TestJsonl:
             ('{"id": 7, "tokens": ["x"]}', "'id' is missing or not a str"),
             ('{"id": "b", "tokens": "x"}', "'tokens' is missing or not a list"),
             ('{"id": "b", "tokens": []}', "has no tokens"),
+            ('{"id": "b", "tokens": ["x", 7]}', "non-string token"),
+            ('{"id": "b", "tokens": ["x", null]}', "non-string token"),
+            ('{"id": "b", "tokens": [["x"]]}', "non-string token"),
+            ('{"id": "b", "tokens": ["x"], "gold_label": "yes"}', "'gold_label' must be"),
+            ('{"id": "b", "tokens": ["x"], "gold_label": 2}', "'gold_label' must be"),
+            ('{"id": "b", "tokens": ["x"], "gold_label": true}', "'gold_label' must be"),
+            ('{"id": "b", "tokens": ["x"], "gold_label": 1.0}', "'gold_label' must be"),
         ],
     )
     def test_bad_line_names_its_file_line(self, tmp_path, bad, reason):
