@@ -1,6 +1,6 @@
 """Micro-benchmarks of the two trainable models' batched kernels, walk
-sampling, the event graph and keyword kernels, and the JSONL read and
-``loggad detect`` paths.
+sampling, the event graph and keyword kernels, the synthetic generator,
+and the JSONL read and ``loggad detect`` paths.
 
 Run from the root of a checkout:
 
@@ -9,8 +9,8 @@ Run from the root of a checkout:
 They are kept out of the tier-1 suite (``testpaths = ["tests"]``). The
 inputs mirror the default synthetic run's second iteration: a graph over
 both 100-word keyword lists, minibatches of 20 subgraphs for the annotator
-and of 5 sequences for the classifier. The file benchmarks read and score
-5,000 sequences.
+and of 5 sequences for the classifier. The generator and file benchmarks
+make, read and score 5,000 sequences.
 """
 
 import io
@@ -106,6 +106,11 @@ def test_graph_build(benchmark, classified):
     keywords = extract_top(classified, 100, 4)
     g = benchmark(eg.build, keywords, [seq for seq, _ in classified])
     assert g.feature_dim > 2
+
+
+def test_generate_synthetic(benchmark):
+    spec = ev.SyntheticSpec(n_sequences=5_000, noise_rate=0.1, seed=4)
+    assert len(benchmark(ev.generate_synthetic, spec)) == 5_000
 
 
 @pytest.fixture(scope="module")

@@ -164,12 +164,7 @@ def cmd_report(args) -> int:
 def cmd_eval(args) -> int:
     pred_path = _require_file(args.predictions)
     gold_path = _require_file(args.gold)
-    predictions = {}
-    with open(pred_path) as fh:
-        for line in fh:
-            if line.strip():
-                obj = json.loads(line)
-                predictions[obj["id"]] = int(obj["label"])
+    predictions = ev.read_predictions(pred_path)
     gold = {}
     for seq in ingest.read_jsonl(gold_path):
         if seq.gold_label is not None:

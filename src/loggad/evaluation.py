@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -87,6 +89,44 @@ def score(predictions: dict[str, int], gold: dict[str, int]) -> Metrics:
     return Metrics(tp=tp, fp=fp, fn=fn, tn=tn, precision=precision, recall=recall, f1=f1, flags=flags)
 
 
+def read_predictions(path) -> dict[str, int]:
+    """Map sequence id to predicted label from a predictions JSONL file.
+
+    Each non-blank line is an object with a string ``id`` and a ``label``
+    of 0 or 1 (a boolean is not a label); other keys are ignored. A bad
+    line, or an id already seen, raises EvalError naming the file and its
+    line number (from 1).
+    """
+    predictions: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                problem = f"invalid JSON: {exc.msg} at column {exc.colno}"
+            else:
+                problem = _prediction_problem(obj, predictions)
+            if problem:
+                raise EvalError(f"{path}, line {line_no}: {problem}")
+            predictions[obj["id"]] = obj["label"]
+    return predictions
+
+
+def _prediction_problem(obj, seen: dict[str, int]) -> Optional[str]:
+    if not isinstance(obj, dict):
+        return "expected a JSON object"
+    sid, label = obj.get("id"), obj.get("label")
+    if not isinstance(sid, str):
+        return "'id' is missing or not a str"
+    if type(label) is not int or label not in (0, 1):
+        return f"'label' must be 0 or 1, got {label!r}"
+    if sid in seen:
+        return f"id {sid!r} is repeated"
+    return None
+
+
 @dataclass
 class SyntheticSpec:
     n_sequences: int = 2000
@@ -132,6 +172,113 @@ class SyntheticSpec:
             self.shared_vocab = [f"node{i}" for i in range(40)]
 
 
+# raw words fetched from the bit generator at a time: 4,096 words become
+# about 200 KiB of Python ints, while 65,536 raised the peak RSS of making
+# a 500-sequence corpus by 3.4 MiB and were no faster
+_WORDS_PER_FETCH = 4_096
+_TWO_POW_32 = 1 << 32
+_LOW_HALF = _TWO_POW_32 - 1
+_DOUBLE_UNIT = 2.0**-53
+
+
+class _Replay:
+    """numpy ``Generator`` draws, replayed from its bit generator's raw words.
+
+    A scalar ``rng.random()`` or ``rng.integers(n)`` costs one to three
+    microseconds of call overhead and ``rng.choice(n, p=p)`` over ten, as
+    p is validated again on every call. Each method here makes the same draw
+    from the same 64-bit words, fetched ``_WORDS_PER_FETCH`` at a time with
+    ``random_raw``:
+
+    - ``random`` is the top 53 bits of one word, scaled to [0, 1);
+    - ``integers(n)`` is Lemire's bounded draw on 32-bit halves (arXiv
+      1805.10941). A fresh word gives its low half and leaves its high
+      half for the next ``integers`` call, as ``has_uint32``/``uinteger``
+      do in the bit generator's state; ``integers(1)`` draws nothing;
+    - ``choice(cdf)`` is numpy's ``cdf.searchsorted(random(), "right")``
+      over a cdf built as ``p.cumsum() / p.cumsum()[-1]``.
+
+    The draws match numpy's only for ``1 <= n < 2**32``. The bit generator
+    is left past every word fetched, so its owner must draw nothing more.
+    """
+
+    __slots__ = ("_next_word", "_half")
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        state = bit_generator.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        fetches = iter(lambda: bit_generator.random_raw(_WORDS_PER_FETCH).tolist(), None)
+        self._next_word = chain.from_iterable(fetches).__next__
+
+    def random(self) -> float:
+        return (self._next_word() >> 11) * _DOUBLE_UNIT
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+    def _next_half(self) -> int:
+        half = self._half
+        if half is None:
+            word = self._next_word()
+            self._half = word >> 32
+            return word & _LOW_HALF
+        self._half = None
+        return half
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        m = self._next_half() * n
+        if m & _LOW_HALF < n:
+            threshold = (_TWO_POW_32 - n) % n
+            while m & _LOW_HALF < threshold:
+                m = self._next_half() * n
+        return m >> 32
+
+    def choice(self, cdf: list[float]) -> int:
+        return bisect_right(cdf, self.random())
+
+
+def _zipf_cdf(n_words: int, exponent: float, name: str) -> list[float]:
+    """The cdf ``rng.choice(n_words, p=p)`` searches for Zipf-like weights
+    1/rank^exponent, normalised as numpy normalises it."""
+    weights = np.arange(1, n_words + 1, dtype=float) ** -exponent
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    if not np.isfinite(cdf).all():
+        raise EvalError(f"{name} gives no word frequencies, got {exponent}")
+    return cdf.tolist()
+
+
+def _check_spec(spec: SyntheticSpec) -> None:
+    """Raise EvalError naming the first field that no corpus can be made from."""
+    if not 0 < spec.anomaly_rate < 1:
+        raise EvalError(f"anomaly_rate must be in (0,1), got {spec.anomaly_rate}")
+    if not spec.n_sequences >= 0:
+        raise EvalError(f"n_sequences must be >= 0, got {spec.n_sequences}")
+    for name in ("length_range", "template_size"):
+        lo, hi = getattr(spec, name)
+        if not 1 <= lo <= hi:
+            raise EvalError(f"{name} must satisfy 1 <= lo <= hi, got {(lo, hi)}")
+    atr = spec.anomaly_token_rate
+    atr_lo, atr_hi = atr if isinstance(atr, tuple) else (atr, atr)
+    if not 0 <= atr_lo <= atr_hi <= 1:
+        raise EvalError(f"anomaly_token_rate must lie in [0, 1] with lo <= hi, got {atr}")
+    for name in ("shared_rate", "noise_rate", "noise_token_rate"):
+        rate = getattr(spec, name)
+        if not 0 <= rate <= 1:
+            raise EvalError(f"{name} must be in [0, 1], got {rate}")
+    overlap = set(spec.anomaly_vocab) & (set(spec.normal_vocab) | set(spec.shared_vocab))
+    if overlap:
+        raise EvalError(f"anomaly vocabulary overlaps benign vocabularies: {sorted(overlap)[:3]}")
+    if spec.n_normal_templates < 1 or spec.n_anomaly_templates < 1:
+        raise EvalError("template counts must be >= 1")
+    if not 1 <= spec.n_communities <= len(spec.normal_vocab):
+        raise EvalError(
+            f"n_communities must be in [1, len(normal_vocab)], got {spec.n_communities}"
+        )
+
+
 def generate_synthetic(spec: SyntheticSpec) -> list[LogSequence]:
     """Seed-deterministic template-structured corpus with an exact planted
     anomaly count.
@@ -150,42 +297,40 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LogSequence]:
     classes). Within each vocabulary, words follow a Zipf-like frequency
     curve (weight 1/rank^zipf_exponent) when sampled into templates,
     matching the heavy skew of real log vocabularies.
+
+    The draws are not scalar numpy calls: ``_Replay`` replays numpy's own
+    ``random``, ``integers``, ``uniform`` and ``choice`` algorithms from
+    the raw words of ``default_rng(spec.seed)``'s bit generator, so every
+    corpus is byte-identical to the one made with one ``rng.random()``,
+    ``rng.integers(...)``, ``rng.uniform(...)`` or ``rng.choice(..., p=)``
+    call per draw, in a fraction of the time. A spec no corpus can be made
+    from raises EvalError naming its field.
     """
-    if not 0 < spec.anomaly_rate < 1:
-        raise EvalError(f"anomaly_rate must be in (0,1), got {spec.anomaly_rate}")
-    overlap = set(spec.anomaly_vocab) & (set(spec.normal_vocab) | set(spec.shared_vocab))
-    if overlap:
-        raise EvalError(f"anomaly vocabulary overlaps benign vocabularies: {sorted(overlap)[:3]}")
-    if spec.n_normal_templates < 1 or spec.n_anomaly_templates < 1:
-        raise EvalError("template counts must be >= 1")
+    _check_spec(spec)
+    normal = list(spec.normal_vocab)
+    shared = list(spec.shared_vocab)
+    anomalous = list(spec.anomaly_vocab)
+    anomalous_set = set(anomalous)
+    cdf_shared = _zipf_cdf(len(shared), spec.shared_zipf, "shared_zipf")
+    cdf_anomalous = _zipf_cdf(len(anomalous), spec.anomaly_zipf, "anomaly_zipf")
+
+    k = spec.n_communities
+    block = len(normal) // k
+    communities = [normal[i * block : (i + 1) * block] for i in range(k)]
+    communities[-1].extend(normal[k * block :])
+    cdf_comm = [_zipf_cdf(len(c), spec.zipf_exponent, "zipf_exponent") for c in communities]
+
     rng = np.random.default_rng(spec.seed)
     n = spec.n_sequences
     n_anomaly = int(round(n * spec.anomaly_rate))
     labels = np.zeros(n, dtype=int)
     labels[rng.permutation(n)[:n_anomaly]] = 1
-
-    def zipf_probs(n_words: int, exponent: float) -> np.ndarray:
-        weights = np.arange(1, n_words + 1, dtype=float) ** -exponent
-        return weights / weights.sum()
-
-    normal = list(spec.normal_vocab)
-    shared = list(spec.shared_vocab)
-    anomalous = list(spec.anomaly_vocab)
-    anomalous_set = set(anomalous)
-    p_shared = zipf_probs(len(shared), spec.shared_zipf)
-    p_anomalous = zipf_probs(len(anomalous), spec.anomaly_zipf)
-
-    k = spec.n_communities
-    if k < 1 or k > len(normal):
-        raise EvalError(f"n_communities must be in [1, len(normal_vocab)], got {k}")
-    block = len(normal) // k
-    communities = [normal[i * block : (i + 1) * block] for i in range(k)]
-    communities[-1].extend(normal[k * block :])
-    p_comm = [zipf_probs(len(c), spec.zipf_exponent) for c in communities]
+    labels = labels.tolist()
+    draw = _Replay(rng.bit_generator)
+    random, integers, choice = draw.random, draw.integers, draw.choice
 
     def benign_word(comm: int) -> str:
-        c = communities[comm]
-        return c[int(rng.choice(len(c), p=p_comm[comm]))]
+        return communities[comm][choice(cdf_comm[comm])]
 
     lo_t, hi_t = spec.template_size
 
@@ -193,25 +338,23 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LogSequence]:
     atr_lo, atr_hi = atr if isinstance(atr, tuple) else (atr, atr)
 
     def make_template(anomaly: bool) -> list[str]:
-        size = int(rng.integers(lo_t, hi_t + 1))
-        rate = rng.uniform(atr_lo, atr_hi)
+        size = lo_t + integers(hi_t + 1 - lo_t)
+        rate = draw.uniform(atr_lo, atr_hi)
         # a healthy template stays inside one community; a fault template
         # spreads its benign words round-robin over all of them
-        home = int(rng.integers(k))
+        home = integers(k)
         words: list[str] = []
         benign_slots = 0
         for _ in range(size):
-            if anomaly and rng.random() < rate:
-                words.append(anomalous[int(rng.choice(len(anomalous), p=p_anomalous))])
+            if anomaly and random() < rate:
+                words.append(anomalous[choice(cdf_anomalous)])
             else:
                 comm = (home + benign_slots) % k if anomaly else home
                 words.append(benign_word(comm))
                 benign_slots += 1
         if anomaly and not any(w in anomalous_set for w in words):
             # an anomaly template must stay detectable in principle
-            words[int(rng.integers(len(words)))] = anomalous[
-                int(rng.choice(len(anomalous), p=p_anomalous))
-            ]
+            words[integers(len(words))] = anomalous[choice(cdf_anomalous)]
         return sorted(set(words))
 
     normal_templates = [make_template(False) for _ in range(spec.n_normal_templates)]
@@ -221,19 +364,19 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LogSequence]:
     sequences = []
     for i in range(n):
         pool = anomaly_templates if labels[i] == 1 else normal_templates
-        template = pool[int(rng.integers(len(pool)))]
-        corrupted = rng.random() < spec.noise_rate
-        length = int(rng.integers(lo, hi + 1))
+        template = pool[integers(len(pool))]
+        corrupted = random() < spec.noise_rate
+        length = lo + integers(hi + 1 - lo)
         tokens = []
         for _ in range(length):
-            if rng.random() < spec.shared_rate:
-                tokens.append(shared[int(rng.choice(len(shared), p=p_shared))])
-            elif corrupted and rng.random() < spec.noise_token_rate:
-                ambient = normal_templates[int(rng.integers(len(normal_templates)))]
-                tokens.append(ambient[int(rng.integers(len(ambient)))])
+            if random() < spec.shared_rate:
+                tokens.append(shared[choice(cdf_shared)])
+            elif corrupted and random() < spec.noise_token_rate:
+                ambient = normal_templates[integers(len(normal_templates))]
+                tokens.append(ambient[integers(len(ambient))])
             else:
-                tokens.append(template[int(rng.integers(len(template)))])
-        sequences.append(LogSequence(id=f"seq_{i:06d}", tokens=tokens, gold_label=int(labels[i])))
+                tokens.append(template[integers(len(template))])
+        sequences.append(LogSequence(id=f"seq_{i:06d}", tokens=tokens, gold_label=labels[i]))
     return sequences
 
 

@@ -182,6 +182,35 @@ class TestTrainDetectReportEval:
         )
         assert run(["eval", "--predictions", str(preds), "--gold", str(gold)]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [
+            ('{"id": "s1"}', "'label' must be 0 or 1"),
+            ('{"label": 1}', "'id' is missing"),
+            ('{"id": 7, "label": 1}', "'id' is missing or not a str"),
+            ('{"id": "s1", "label": "yes"}', "'label' must be 0 or 1, got 'yes'"),
+            ('{"id": "s1", "label": true}', "'label' must be 0 or 1, got True"),
+            ('{"id": "s1", "label": 2}', "'label' must be 0 or 1, got 2"),
+            ('{"id": "s1", "label": 1.0}', "'label' must be 0 or 1, got 1.0"),
+            ('{"id": "s0", "label": 0}', "id 's0' is repeated"),
+            ('["s1", 1]', "expected a JSON object"),
+            ('{"id": "s1", ', "invalid JSON"),
+        ],
+    )
+    def test_eval_rejects_a_bad_predictions_line_naming_it(self, tmp_path, capsys, bad, problem):
+        gold = tmp_path / "gold.jsonl"
+        ingest.write_jsonl(
+            [ingest.LogSequence(id=f"s{i}", tokens=["x"], gold_label=i % 2) for i in range(3)],
+            gold,
+        )
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            '{"id": "s0", "label": 0}\n\n' + bad + '\n{"id": "s2", "label": 1}\n'
+        )
+        assert run(["eval", "--predictions", str(preds), "--gold", str(gold)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"{preds}, line 3: {problem}" in err
+
     def test_config_file_round_trip(self, tmp_path, synth_corpus):
         ini = tmp_path / "cfg.ini"
         ini.write_text(

@@ -1,5 +1,10 @@
 """Metrics, synthetic corpus generator and dataset loaders."""
 
+import hashlib
+import json
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +20,8 @@ from loggad.evaluation import (
     split_chronological,
 )
 from loggad.ingest import LogSequence
+
+from synthetic_oracle import generate_synthetic_scalar
 
 
 class TestScore:
@@ -145,6 +152,207 @@ class TestSyntheticGenerator:
     def test_ids_are_ordered_and_unique(self):
         corpus = generate_synthetic(self.small_spec())
         assert [s.id for s in corpus] == [f"seq_{i:06d}" for i in range(len(corpus))]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_sequences", -1),
+            ("length_range", (30, 20)),
+            ("length_range", (0, 0)),
+            ("length_range", (0, 5)),
+            ("template_size", (0, 0)),
+            ("template_size", (4, 3)),
+            ("anomaly_token_rate", (0.7, 0.2)),
+            ("anomaly_token_rate", (-0.1, 0.5)),
+            ("anomaly_token_rate", (0.2, 1.5)),
+            ("anomaly_token_rate", 1.5),
+            ("anomaly_token_rate", float("nan")),
+            ("shared_rate", -0.5),
+            ("shared_rate", 1.5),
+            ("noise_rate", -0.1),
+            ("noise_rate", float("nan")),
+            ("noise_token_rate", 1.1),
+            ("zipf_exponent", float("nan")),
+            ("shared_zipf", float("nan")),
+            ("anomaly_zipf", float("nan")),
+        ],
+    )
+    def test_unusable_spec_rejected_naming_the_field(self, field, value):
+        with pytest.raises(EvalError, match=field):
+            generate_synthetic(self.small_spec(**{field: value}))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_sequences", 0), ("length_range", (1, 1)), ("template_size", (1, 1)),
+         ("anomaly_token_rate", (0.0, 1.0)), ("shared_rate", 1.0), ("noise_rate", 1.0),
+         ("noise_token_rate", 0.0)],
+    )
+    def test_bounds_of_each_field_accepted(self, field, value):
+        spec = self.small_spec(**{field: value})
+        assert len(generate_synthetic(spec)) == spec.n_sequences
+
+
+# Bounded draws over the sizes Lemire's method treats differently: n = 1
+# draws nothing, at 2**31 + 1 about half the draws are rejected, and
+# 2**32 - 1 is the largest size drawn from a 32-bit half.
+DRAW_SIZES = (1, 2, 3, 7, 30, 2**31 + 1, 2**32 - 1)
+
+
+def zipf_p(n_words, exponent):
+    weights = np.arange(1, n_words + 1, dtype=float) ** -exponent
+    return weights / weights.sum()
+
+
+class TestReplay:
+    """``_Replay`` makes the draws a numpy Generator makes from the same state."""
+
+    def test_a_permutation_can_leave_a_carried_half(self):
+        # the precondition that makes perm_n=2 below test the carried half
+        rng = np.random.default_rng(0)
+        rng.permutation(2)
+        assert rng.bit_generator.state["has_uint32"] == 1
+
+    @pytest.mark.parametrize("perm_n", [0, 2, 3, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_interleaved_draws_match_the_generator(self, seed, perm_n):
+        ref = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        ref.permutation(perm_n)
+        rng.permutation(perm_n)
+        draw = ev._Replay(rng.bit_generator)
+        p = zipf_p(40, 1.3)
+        cdf = ev._zipf_cdf(40, 1.3, "zipf_exponent")
+        schedule = random.Random(seed * 1000 + perm_n)
+        for _ in range(4000):
+            op = schedule.randrange(6)
+            if op == 0:
+                assert draw.random() == ref.random()
+            elif op == 1:
+                assert draw.uniform(0.2, 0.7) == ref.uniform(0.2, 0.7)
+            elif op == 2:
+                assert draw.choice(cdf) == ref.choice(40, p=p)
+            else:  # half the draws are bounded, often back to back
+                n = schedule.choice(DRAW_SIZES)
+                assert draw.integers(n) == ref.integers(n), n
+
+    def test_long_runs_cross_word_fetches(self):
+        ref = np.random.default_rng(9)
+        draw = ev._Replay(np.random.default_rng(9).bit_generator)
+        n_draws = ev._WORDS_PER_FETCH + 1000
+        got = [draw.integers(2**31 + 1) for _ in range(n_draws)]
+        assert got == [int(ref.integers(2**31 + 1)) for _ in range(n_draws)]
+
+    def test_a_draw_equal_to_a_cdf_entry_takes_the_next_index(self):
+        # numpy searches the cdf with side="right"; every double in
+        # [0.5, 1) is a possible random(), so ties are real
+        u = np.random.default_rng(1).random()
+        assert 0.5 <= u < 1
+        p = np.array([u, 1 - u])
+        cdf = p.cumsum()
+        assert cdf.tolist() == [u, 1.0]
+        assert np.random.default_rng(1).choice(2, p=p) == 1
+        assert ev._Replay(np.random.default_rng(1).bit_generator).choice(cdf.tolist()) == 1
+
+    @pytest.mark.parametrize("n_words, exponent", [(40, 0.0), (40, 1.0), (30, 2.0), (17, 0.7)])
+    def test_zipf_cdf_is_normalised_as_choice_normalises_it(self, n_words, exponent):
+        cumsum = zipf_p(n_words, exponent).cumsum()
+        cdf = ev._zipf_cdf(n_words, exponent, "zipf_exponent")
+        assert cdf == (cumsum / cumsum[-1]).tolist()
+        assert cdf[-1] == 1.0
+
+    def test_some_zipf_cumsum_misses_one(self):
+        # the precondition that makes the test above check the division
+        assert any(
+            zipf_p(n, e).cumsum()[-1] != 1.0
+            for n, e in [(40, 0.0), (40, 1.0), (30, 2.0), (17, 0.7)]
+        )
+
+
+def corpus_rows(corpus):
+    return [(s.id, s.tokens, s.gold_label) for s in corpus]
+
+
+ORACLE_SPECS = [
+    dict(),
+    dict(noise_rate=0.1),
+    dict(seed=0),
+    dict(seed=123456789, noise_rate=0.3),
+    dict(n_sequences=0),
+    dict(n_sequences=1),
+    dict(n_sequences=7, anomaly_rate=0.5),
+    dict(anomaly_rate=0.9, seed=4),
+    dict(template_size=(1, 3), seed=5),
+    dict(template_size=(1, 1), n_communities=1, seed=6),
+    dict(n_anomaly_templates=1, seed=7),
+    dict(n_normal_templates=1, n_anomaly_templates=1, seed=8),
+    dict(length_range=(5, 5), seed=9),
+    dict(length_range=(1, 60), seed=10),
+    dict(shared_zipf=1.5, shared_rate=0.4, seed=11),
+    dict(zipf_exponent=0.0, anomaly_zipf=0.0, seed=12),
+    dict(anomaly_zipf=5.0, zipf_exponent=2.5, seed=13),
+    dict(anomaly_token_rate=0.3, seed=14),
+    dict(anomaly_token_rate=1.0, shared_rate=0.0, seed=15),
+    dict(anomaly_token_rate=(0.0, 0.05), seed=16),
+    dict(noise_rate=1.0, noise_token_rate=1.0, seed=17),
+    dict(noise_rate=0.5, noise_token_rate=0.0, shared_rate=1.0, seed=18),
+    dict(n_communities=200, seed=19),
+    dict(n_communities=3, template_size=(12, 20), seed=20),
+    dict(normal_vocab=[f"ok{i}" for i in range(7)], anomaly_vocab=["bad"],
+         shared_vocab=["x", "y"], n_communities=2, seed=21),
+]
+
+
+class TestGeneratorOracle:
+    """The replayed generator equals the scalar-call one, sequence for sequence."""
+
+    @pytest.mark.parametrize("overrides", ORACLE_SPECS, ids=[str(s) for s in ORACLE_SPECS])
+    def test_matches_the_scalar_call_generator(self, overrides):
+        spec = dict(n_sequences=300, seed=3)
+        spec.update(overrides)
+        assert corpus_rows(generate_synthetic(SyntheticSpec(**spec))) == corpus_rows(
+            generate_synthetic_scalar(SyntheticSpec(**spec))
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_sequences=st.integers(0, 60),
+        lengths=st.tuples(st.integers(1, 12), st.integers(0, 12)),
+        sizes=st.tuples(st.integers(1, 8), st.integers(0, 8)),
+        rates=st.tuples(*[st.floats(0, 1) for _ in range(5)]),
+        zipfs=st.tuples(*[st.floats(0, 4) for _ in range(3)]),
+        communities=st.integers(1, 20),
+    )
+    def test_matches_on_drawn_specs(self, seed, n_sequences, lengths, sizes, rates, zipfs,
+                                    communities):
+        atr_lo, atr_hi, shared_rate, noise_rate, noise_token_rate = rates
+        spec = dict(
+            seed=seed,
+            n_sequences=n_sequences,
+            length_range=(lengths[0], lengths[0] + lengths[1]),
+            template_size=(sizes[0], sizes[0] + sizes[1]),
+            anomaly_token_rate=(min(atr_lo, atr_hi), max(atr_lo, atr_hi)),
+            shared_rate=shared_rate,
+            noise_rate=noise_rate,
+            noise_token_rate=noise_token_rate,
+            zipf_exponent=zipfs[0],
+            shared_zipf=zipfs[1],
+            anomaly_zipf=zipfs[2],
+            n_communities=communities,
+        )
+        assert corpus_rows(generate_synthetic(SyntheticSpec(**spec))) == corpus_rows(
+            generate_synthetic_scalar(SyntheticSpec(**spec))
+        )
+
+    def test_acceptance_corpus_golden_digest(self):
+        # recorded from the scalar-call generator; a change in numpy's
+        # PCG64 stream or draw algorithms breaks it too
+        digest = hashlib.sha256()
+        for s in generate_synthetic(SyntheticSpec(noise_rate=0.1)):
+            digest.update(json.dumps([s.id, s.gold_label, s.tokens]).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "3e9cafb5bfdb9c5d4b5e8316ecf93dfe5536d84a327cbb1a035fe391529ed5e9"
+        )
 
 
 class TestLoaders:
