@@ -131,9 +131,11 @@ def _prediction_problem(obj, seen: dict[str, int]) -> Optional[str]:
 class SyntheticSpec:
     n_sequences: int = 2000
     anomaly_rate: float = 0.1
-    normal_vocab: list[str] = field(default_factory=list)
-    anomaly_vocab: list[str] = field(default_factory=list)
-    shared_vocab: list[str] = field(default_factory=list)
+    # the three vocabularies: None gives the default words, an empty list
+    # is rejected by generate_synthetic
+    normal_vocab: Optional[list[str]] = None
+    anomaly_vocab: Optional[list[str]] = None
+    shared_vocab: Optional[list[str]] = None
     length_range: tuple[int, int] = (20, 30)
     n_normal_templates: int = 30
     n_anomaly_templates: int = 12
@@ -164,11 +166,11 @@ class SyntheticSpec:
     seed: int = 2
 
     def __post_init__(self):
-        if not self.normal_vocab:
+        if self.normal_vocab is None:
             self.normal_vocab = [f"svc{i}_ok" for i in range(200)]
-        if not self.anomaly_vocab:
+        if self.anomaly_vocab is None:
             self.anomaly_vocab = [f"fault{i}_trap" for i in range(30)]
-        if not self.shared_vocab:
+        if self.shared_vocab is None:
             self.shared_vocab = [f"node{i}" for i in range(40)]
 
 
@@ -268,6 +270,9 @@ def _check_spec(spec: SyntheticSpec) -> None:
         rate = getattr(spec, name)
         if not 0 <= rate <= 1:
             raise EvalError(f"{name} must be in [0, 1], got {rate}")
+    for name in ("normal_vocab", "anomaly_vocab", "shared_vocab"):
+        if not getattr(spec, name):
+            raise EvalError(f"{name} must hold at least one word")
     overlap = set(spec.anomaly_vocab) & (set(spec.normal_vocab) | set(spec.shared_vocab))
     if overlap:
         raise EvalError(f"anomaly vocabulary overlaps benign vocabularies: {sorted(overlap)[:3]}")
@@ -427,28 +432,47 @@ def load_loghub_sample(
     return records
 
 
+_BLOCK_TAGS = {"anomaly": 1, "1": 1, "normal": 0, "0": 0}  # lower-cased
+_LINE_TAGS = {"1": 1, "0": 0}
+
+
 def _load_block_labels(path) -> dict[str, int]:
+    """Block id -> label from ``blk_...,tag`` lines, the tag Anomaly,
+    Normal, 1 or 0 in any case; any other tag raises EvalError naming the
+    file line (from 1)."""
     labels = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for file_line, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.lower().startswith("blockid"):
                 continue
             block, _, tag = line.partition(",")
-            tag = tag.strip().lower()
-            labels[block.strip()] = 1 if tag in ("anomaly", "1") else 0
+            label = _BLOCK_TAGS.get(tag.strip().lower())
+            if label is None:
+                raise EvalError(
+                    f"{path}, line {file_line}: label must be Anomaly, Normal, 1 or 0, "
+                    f"got {tag.strip()!r}"
+                )
+            labels[block.strip()] = label
     return labels
 
 
 def _load_line_labels(path) -> dict[int, int]:
+    """Log line number -> label from ``line_no,tag`` lines, the tag 0 or 1;
+    anything else raises EvalError naming the file line (from 1)."""
     labels = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for file_line, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            line_no, _, tag = line.partition(",")
-            labels[int(line_no)] = int(tag)
+            line_no, _, tag = (part.strip() for part in line.partition(","))
+            if not line_no.isdecimal() or tag not in _LINE_TAGS:
+                raise EvalError(
+                    f"{path}, line {file_line}: expected 'line_no,label' with label 0 or 1, "
+                    f"got {line!r}"
+                )
+            labels[int(line_no)] = _LINE_TAGS[tag]
     return labels
 
 

@@ -35,10 +35,7 @@ class EmptyGraphError(GraphError):
 class EventGraph:
     words: list[str]
     class_flags: np.ndarray  # (|V|, 2) float64, [in normal list, in anomaly list]
-    # (|V|, |V|) int64 co-occurrence counts; symmetric unless directed, where
-    # [i, j] counts i before j
-    frequency: np.ndarray
-    directed: bool = False
+    frequency: np.ndarray  # (|V|, |V|) int64 symmetric co-occurrence counts
     index: dict[str, int] = field(init=False)
 
     def __post_init__(self):
@@ -51,8 +48,8 @@ class EventGraph:
             raise GraphError("self-loop on the frequency diagonal")
         if np.any(freq < 0):
             raise GraphError("negative co-occurrence count")
-        if not self.directed and not np.array_equal(freq, freq.T):
-            raise GraphError("undirected frequency matrix is not symmetric")
+        if not np.array_equal(freq, freq.T):
+            raise GraphError("frequency matrix is not symmetric")
         if not np.all(self.class_flags.sum(axis=1) >= 1):
             raise GraphError("every vertex must belong to at least one class")
 
@@ -75,8 +72,8 @@ class EventGraph:
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        """(|V|, |V|) binary adjacency, symmetric even for directed graphs."""
-        return ((self.frequency + self.frequency.T) > 0).astype(np.float64)
+        """(|V|, |V|) binary adjacency."""
+        return (self.frequency > 0).astype(np.float64)
 
     def class_vertices(self, class_t: int) -> np.ndarray:
         return np.flatnonzero(self.class_flags[:, class_t] > 0)
@@ -89,7 +86,7 @@ class EventGraph:
         return hashlib.sha256(payload).hexdigest()
 
     def to_json(self) -> str:
-        freq = self.frequency if self.directed else np.triu(self.frequency)
+        freq = np.triu(self.frequency)
         rows, cols = np.nonzero(freq)
         counts = freq[rows, cols]
         return json.dumps(
@@ -99,7 +96,6 @@ class EventGraph:
                     for i, w in enumerate(self.words)
                 ],
                 "edges": [list(e) for e in zip(rows.tolist(), cols.tolist(), counts.tolist())],
-                "directed": self.directed,
             },
             ensure_ascii=False,
         )
@@ -125,7 +121,7 @@ class Subgraph:
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        """(n, n) binary adjacency, undirected, for message passing."""
+        """(n, n) binary adjacency for message passing."""
         return self.graph.adjacency[np.ix_(self.vertex_ids, self.vertex_ids)]
 
     @property
@@ -143,14 +139,13 @@ def build(
     keywords: KeywordSet,
     corpus: list[LogSequence],
     cooccur_window: int = 10,
-    directed: bool = False,
 ) -> EventGraph:
     """Build the event graph from a keyword set and a token corpus.
 
     Vertices are keywords (either class) occurring at least once. Two
     keywords co-occur when they appear within ``cooccur_window`` tokens of
     each other in the same sequence; each such position pair adds 1 to the
-    edge frequency. Directed mode counts earlier-to-later pairs only.
+    edge frequency, on both (i, j) and (j, i).
     """
     if cooccur_window < 1:
         raise GraphError("cooccur_window must be >= 1")
@@ -188,9 +183,7 @@ def build(
         a, b = ids[:-d], ids[d:]
         keep = (a >= 0) & (b >= 0) & (a != b)
         np.add.at(freq, (a[keep], b[keep]), 1)
-    if not directed:
-        freq = freq + freq.T
-    return EventGraph(words=words, class_flags=flags, frequency=freq, directed=directed)
+    return EventGraph(words=words, class_flags=flags, frequency=freq + freq.T)
 
 
 def transition_probabilities(g: EventGraph) -> np.ndarray:

@@ -37,7 +37,7 @@ import numpy as np
 from loggad import annotator as ann
 from loggad import classifier as clf
 from loggad import graph as eg
-from loggad import walks
+from loggad import nn, walks
 from loggad.ingest import LogSequence
 from loggad.keywords import (
     ANOMALY,
@@ -65,18 +65,10 @@ ANNOTATOR_MODES = ("full", "no_selfsup", "counting")
 INIT_MODES = ("seeded", "random")
 
 
-def _ini_bool(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-    except KeyError:
-        raise PipelineError(f"not a boolean: {raw!r}") from None
-
-
 # PipelineConfig field type -> parser of its INI value
 _INI_PARSERS = {
     int: int,
     float: float,
-    bool: _ini_bool,
     str: str,
     Optional[str]: str,
     list[str]: lambda raw: [w.strip() for w in raw.split(",") if w.strip()],
@@ -108,7 +100,6 @@ class PipelineConfig:
     init_mode: str = "seeded"
     seed_keywords: list[str] = field(default_factory=list)
     walk_max_length: int = 64
-    directed_edges: bool = False
     stopwords_path: Optional[str] = None
 
     def __post_init__(self):
@@ -116,6 +107,9 @@ class PipelineConfig:
             raise PipelineError(f"annotator_mode must be one of {ANNOTATOR_MODES}")
         if self.init_mode not in INIT_MODES:
             raise PipelineError(f"init_mode must be one of {INIT_MODES}")
+        for name in ("max_iterations", "annotator_batch", "classifier_batch"):
+            if getattr(self, name) < 1:
+                raise PipelineError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -255,7 +249,7 @@ def run_iteration(
     if config.annotator_mode == "counting":
         pseudo = ann.vote_annotate(corpus, keywords)
     else:
-        g = eg.build(keywords, corpus, config.cooccur_window, directed=config.directed_edges)
+        g = eg.build(keywords, corpus, config.cooccur_window)
         annotator_model = ann.AnnotatorModel.create(
             in_dim=g.feature_dim,
             rng=_rng(config.seed, iteration, 1),
@@ -372,7 +366,8 @@ def run_pipeline(
                 corpus, keywords, config, iteration, prior=prior, stopwords=stopwords
             )
         except (
-            eg.GraphError, ann.AnnotatorError, clf.ClassifierError, KeywordError, SingleClassError
+            eg.GraphError, ann.AnnotatorError, clf.ClassifierError, KeywordError,
+            SingleClassError, nn.TrainingDiverged,
         ) as exc:
             if isinstance(exc, SingleClassError) and records:
                 stop_reason = f"iteration {iteration}: {exc}; kept iteration {iteration - 1}"

@@ -45,8 +45,9 @@ class WalkSample:
 def keyword_count(seq: LogSequence, keyword_words: set[str]) -> int:
     """Keyword token occurrences in a sequence, counted with multiplicity.
 
-    This single definition backs both the walk-length statistics and the
-    vote abstention indicator.
+    It backs the walk-length statistics only. The keyword vote counts with
+    ``annotator.vote_counts``, where a word on both class lists counts once
+    for each class rather than once in all.
     """
     return sum(1 for tok in seq.tokens if tok in keyword_words)
 

@@ -225,6 +225,26 @@ class TestTrainDetectReportEval:
         assert saved["max_iterations"] == 2
         assert saved["seed_keywords"] == ["fault0_trap", "fault1_trap"]
 
+    @pytest.mark.parametrize("field", ["max_iterations", "annotator_batch", "classifier_batch"])
+    def test_config_below_one_exits_1_naming_the_field(self, tmp_path, synth_corpus, capsys,
+                                                       field):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(f"[pipeline]\n{field} = 0\n")
+        code = run(train_args(synth_corpus, tmp_path / "run", ["--config", str(ini)]))
+        assert code == EXIT_ERROR
+        assert f"{field} must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_diverging_run_exits_1_and_writes_failure(self, tmp_path, synth_corpus, capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[pipeline]\nclassifier_lr = 1e300\n")
+        run_dir = tmp_path / "run"
+        code = run(train_args(synth_corpus, run_dir, ["--config", str(ini)]))
+        assert code == EXIT_ERROR
+        assert "iteration 1 failed: non-finite classifier loss" in capsys.readouterr().err
+        failure = json.loads((run_dir / "failure.json").read_text())
+        assert failure["iteration"] == 1
+        assert not (run_dir / "manifest.json").exists()
+
 
 WORDS = [f"w{i}" for i in range(40)]
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,9 @@ class TestSyntheticGenerator:
             ("zipf_exponent", float("nan")),
             ("shared_zipf", float("nan")),
             ("anomaly_zipf", float("nan")),
+            ("normal_vocab", []),
+            ("anomaly_vocab", []),
+            ("shared_vocab", []),
         ],
     )
     def test_unusable_spec_rejected_naming_the_field(self, field, value):
@@ -384,6 +388,38 @@ class TestLoaders:
         labels.write_text("BlockId,Label\nblk_1,Anomaly\nblk_2,Normal\n")
         records = load_loghub_sample(log, "hdfs", label_path=labels)
         assert [r.gold_label for r in records] == [1, 0]
+
+    def test_label_files_accepted_tags(self, tmp_path):
+        log = tmp_path / "hdfs.log"
+        log.write_text("".join(f"081109 INFO block blk_{i} src\n" for i in range(4)))
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("BlockId,Label\nblk_0,ANOMALY\nblk_1, normal\nblk_2,1\nblk_3,0\n")
+        records = load_loghub_sample(log, "hdfs", label_path=blocks)
+        assert [r.gold_label for r in records] == [1, 0, 1, 0]
+        log = tmp_path / "hadoop.log"
+        log.write_text("a\nb\nc\n")
+        lines = tmp_path / "lines.csv"
+        lines.write_text("0,1\n\n2, 0\n")
+        records = load_loghub_sample(log, "hadoop", label_path=lines)
+        assert [r.gold_label for r in records] == [1, None, 0]
+
+    @pytest.mark.parametrize("bad", ["1,2", "1,garbage", "1,", "1", "x,1", "-1,1", "1,anomaly"])
+    def test_bad_line_label_rejected_naming_the_line(self, tmp_path, bad):
+        log = tmp_path / "hadoop.log"
+        log.write_text("a\nb\n")
+        labels = tmp_path / "lines.csv"
+        labels.write_text("0,0\n\n" + bad + "\n")
+        with pytest.raises(EvalError, match=re.escape(f"{labels}, line 3: ")):
+            load_loghub_sample(log, "hadoop", label_path=labels)
+
+    @pytest.mark.parametrize("bad", ["blk_2,Anomly", "blk_2,", "blk_2", "blk_2,2", "blk_2,yes"])
+    def test_bad_block_label_rejected_naming_the_line(self, tmp_path, bad):
+        log = tmp_path / "hdfs.log"
+        log.write_text("081109 INFO block blk_1 src\n081109 INFO block blk_2 src\n")
+        labels = tmp_path / "labels.csv"
+        labels.write_text("BlockId,Label\nblk_1,Normal\n" + bad + "\n")
+        with pytest.raises(EvalError, match=re.escape(f"{labels}, line 3: ")):
+            load_loghub_sample(log, "hdfs", label_path=labels)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "x.log"

@@ -108,12 +108,6 @@ class TestBuild:
         i = g.index["both"]
         assert g.class_flags[i].tolist() == [1.0, 1.0]
 
-    def test_directed_counts_order(self):
-        g = build(kwset(["a"], ["b"]), seqs(["a", "b", "a"]), 5, directed=True)
-        ia, ib = g.index["a"], g.index["b"]
-        assert edge_literal(g)[(ia, ib)] == 1  # a followed by b
-        assert edge_literal(g)[(ib, ia)] == 1  # b followed by a
-
     def test_features_shape_and_content(self):
         g = build(kwset(["failed"], ["denied"]), seqs(["failed", "denied"]), 5)
         feats = g.features
@@ -126,11 +120,11 @@ class TestBuild:
     def test_json_export_shape(self):
         g = build(kwset(["failed"], ["denied"]), seqs(["failed", "denied"]), 5)
         obj = json.loads(g.to_json())
-        assert set(obj) == {"vertices", "edges", "directed"}
+        assert set(obj) == {"vertices", "edges"}
         assert obj["edges"] == [[0, 1, 1]]
 
 
-def oracle_frequency(words, corpus, window, directed):
+def oracle_frequency(words, corpus, window):
     """Dense counts from every position pair of every sequence, one at a time."""
     index = {w: i for i, w in enumerate(words)}
     freq = np.zeros((len(words), len(words)), dtype=np.int64)
@@ -139,17 +133,15 @@ def oracle_frequency(words, corpus, window, directed):
             for tb in s.tokens[p + 1 : p + 1 + window]:
                 if ta in index and tb in index and ta != tb:
                     freq[index[ta], index[tb]] += 1
-                    if not directed:
-                        freq[index[tb], index[ta]] += 1
+                    freq[index[tb], index[ta]] += 1
     return freq
 
 
 class TestDenseCounting:
-    @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("window", [1, 2, 3, 6, 20])
-    def test_matches_pair_oracle(self, window, directed):
+    def test_matches_pair_oracle(self, window):
         # sequences of 1-14 tokens, so window 20 spans every sequence
-        rng = np.random.default_rng(10 * window + directed)
+        rng = np.random.default_rng(10 * window)
         vocab = [f"w{i}" for i in range(10)]
         ks = kwset(vocab[:4], vocab[3:7])
         for _ in range(10):
@@ -159,26 +151,20 @@ class TestDenseCounting:
                 )
                 for i in range(rng.integers(1, 12))
             ]
-            g = build(ks, corpus, window, directed=directed)
+            g = build(ks, corpus, window)
             occurring = {t for s in corpus for t in s.tokens} & ks.all_words()
             assert g.words == sorted(occurring)
-            expected = oracle_frequency(g.words, corpus, window, directed)
+            expected = oracle_frequency(g.words, corpus, window)
             assert g.frequency.dtype == np.int64
             assert np.array_equal(g.frequency, expected)
 
-    @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("window", [1, 2, 5])
-    def test_no_count_across_sequences(self, window, directed):
+    def test_no_count_across_sequences(self, window):
         # "a" ends the first sequence and "b" starts the second: adjacent if
         # the sequences ran together. Only the third sequence's pair counts.
         corpus = seqs(["x", "x", "a"], ["b", "x", "x"], ["a", "b"])
-        g = build(kwset(["a"], ["b"]), corpus, window, directed=directed)
+        g = build(kwset(["a"], ["b"]), corpus, window)
         assert edge_literal(g) == {(0, 1): 1}
-
-    def test_directed_json_lists_both_orders(self):
-        g = build(kwset(["a"], ["b"]), seqs(["a", "b", "b", "a", "b"]), 5, directed=True)
-        assert json.loads(g.to_json())["edges"] == [[0, 1, 4], [1, 0, 2]]
-        assert g.adjacency.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
 
 class TestInvariants:
@@ -188,25 +174,15 @@ class TestInvariants:
                 words=["a"], class_flags=np.ones((1, 2)), frequency=frequency_matrix(1, {(0, 0): 1})
             )
 
-    def test_asymmetric_undirected_frequency_rejected(self):
-        freq = frequency_matrix(2, {(0, 1): 1}, directed=True)
+    def test_asymmetric_frequency_rejected(self):
+        freq = np.array([[0, 1], [0, 0]], dtype=np.int64)
         with pytest.raises(GraphError):
             EventGraph(words=["a", "b"], class_flags=np.ones((2, 2)), frequency=freq)
-        g = EventGraph(words=["a", "b"], class_flags=np.ones((2, 2)), frequency=freq, directed=True)
-        assert edge_literal(g) == {(0, 1): 1}
 
-    def test_directed_self_loop_rejected(self):
-        freq = frequency_matrix(2, {(1, 1): 1}, directed=True)
+    def test_negative_count_rejected(self):
+        freq = frequency_matrix(2, {(0, 1): -1})
         with pytest.raises(GraphError):
-            EventGraph(words=["a", "b"], class_flags=np.ones((2, 2)), frequency=freq, directed=True)
-
-    @pytest.mark.parametrize("directed", [False, True])
-    def test_negative_count_rejected(self, directed):
-        freq = frequency_matrix(2, {(0, 1): -1}, directed)
-        with pytest.raises(GraphError):
-            EventGraph(
-                words=["a", "b"], class_flags=np.ones((2, 2)), frequency=freq, directed=directed
-            )
+            EventGraph(words=["a", "b"], class_flags=np.ones((2, 2)), frequency=freq)
 
     def test_wrong_shape_or_dtype_rejected(self):
         for freq in (np.zeros((2, 3), dtype=np.int64), np.zeros((2, 2))):

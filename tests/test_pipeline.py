@@ -74,14 +74,12 @@ class TestConfig:
             "annotator_lr = 0.001\n"
             "annotator_mode = counting\n"
             "seed_keywords = failed, denied\n"
-            "directed_edges = true\n"
         )
         cfg = PipelineConfig.from_ini(path)
         assert cfg.keywords_per_class == 50
         assert cfg.annotator_lr == pytest.approx(1e-3)
         assert cfg.annotator_mode == "counting"
         assert cfg.seed_keywords == ["failed", "denied"]
-        assert cfg.directed_edges is True
         # untouched fields keep their defaults
         assert cfg.idf_exponent == 4
 
@@ -93,16 +91,13 @@ class TestConfig:
             classifier_epochs=4, classifier_batch=9, classifier_lr=7.5e-4, embed_dim=12,
             classifier_hidden=24, drift_threshold=0.05, max_iterations=3, seed=11,
             annotator_mode="no_selfsup", init_mode="random",
-            seed_keywords=["failed", "denied"], walk_max_length=32,
-            directed_edges=True, stopwords_path="stop.txt",
+            seed_keywords=["failed", "denied"], walk_max_length=32, stopwords_path="stop.txt",
         )
         names = [f.name for f in fields(PipelineConfig)]
         assert all(getattr(cfg, n) != getattr(PipelineConfig(), n) for n in names)
 
         def ini_value(value):
-            if isinstance(value, list):
-                return ", ".join(value)
-            return str(value).lower() if isinstance(value, bool) else str(value)
+            return ", ".join(value) if isinstance(value, list) else str(value)
 
         path = tmp_path / "run.ini"
         path.write_text(
@@ -111,12 +106,6 @@ class TestConfig:
         back = PipelineConfig.from_ini(path)
         assert back == cfg
         assert [type(getattr(back, n)) for n in names] == [type(getattr(cfg, n)) for n in names]
-
-    def test_from_ini_bad_boolean_rejected(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text("[pipeline]\ndirected_edges = maybe\n")
-        with pytest.raises(PipelineError, match="maybe"):
-            PipelineConfig.from_ini(path)
 
     def test_from_ini_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.ini"
