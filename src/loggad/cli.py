@@ -40,13 +40,10 @@ def _require_file(path: str) -> Path:
 
 def cmd_ingest(args) -> int:
     path = _require_file(args.input)
-    if args.kind == "plain":
-        sequences = ingest.window(ingest.read_plain_records(path), args.window)
-    else:
-        if args.labels:
-            _require_file(args.labels)
-        records = ev.load_loghub_sample(path, args.kind, label_path=args.labels)
-        sequences = ev.sequences_from_records(records, args.kind, window_size=args.window)
+    if args.labels:
+        _require_file(args.labels)
+    records = ev.load_loghub_sample(path, args.kind, label_path=args.labels)
+    sequences = ev.sequences_from_records(records, args.kind, window_size=args.window)
     ingest.write_jsonl(sequences, args.out)
     print(f"wrote {len(sequences)} sequences to {args.out}")
     return EXIT_OK
@@ -76,9 +73,6 @@ def cmd_train(args) -> int:
         overrides["seed"] = args.seed
     if args.seed_keywords:
         overrides["seed_keywords"] = [w.strip() for w in args.seed_keywords.split(",") if w.strip()]
-        overrides["init_mode"] = "seeded"
-    if args.init_mode:
-        overrides["init_mode"] = args.init_mode
     if overrides:
         config = replace(config, **overrides)
     corpus = ingest.read_jsonl(seq_path)
@@ -184,10 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="convert a raw log file into sequence JSONL")
     p.add_argument("--input", required=True)
-    p.add_argument("--kind", required=True, choices=list(ev.DATASET_KINDS) + ["plain"])
+    p.add_argument("--kind", required=True, choices=ev.DATASET_KINDS)
     p.add_argument("--out", required=True)
     p.add_argument("--window", type=int, default=20)
-    p.add_argument("--labels", help="optional label file (per-line or per-block)")
+    p.add_argument(
+        "--labels",
+        help="optional label file: per block for hdfs, per line (from 0) for "
+        "plain/hadoop/openstack; bgl/thunderbird carry inline tags",
+    )
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
@@ -204,8 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--mode", choices=["full", "no_selfsup", "counting"])
     p.add_argument("--seed", type=int)
-    p.add_argument("--seed-keywords", help="comma-separated anomaly seed words")
-    p.add_argument("--init-mode", choices=["seeded", "random"])
+    p.add_argument(
+        "--seed-keywords",
+        help="comma-separated anomaly seed words; required unless the config sets seed_keywords",
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("detect", help="predict with a trained model")

@@ -385,7 +385,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LogSequence]:
     return sequences
 
 
-DATASET_KINDS = ("hdfs", "bgl", "thunderbird", "hadoop", "openstack")
+DATASET_KINDS = ("plain", "hdfs", "bgl", "thunderbird", "hadoop", "openstack")
+INLINE_TAG_KINDS = ("bgl", "thunderbird")
 
 HDFS_BLOCK_PATTERN = r"blk_-?\d+"
 
@@ -393,16 +394,20 @@ HDFS_BLOCK_PATTERN = r"blk_-?\d+"
 def load_loghub_sample(
     path, dataset_kind: str, label_path: Optional[str] = None
 ) -> list[RawLogRecord]:
-    """Load a (possibly truncated) LogHub-style sample file into records.
+    """Load a raw log file, such as a (possibly truncated) LogHub sample, into
+    one record per non-blank line, numbered from 0.
 
     BGL/Thunderbird lines carry an inline alert tag: a leading "-" means
-    normal, anything else marks the line anomalous. HDFS labels come from
-    a block-id label file (``blk_...,Anomaly|Normal`` or ``blk_...,0|1``
-    per line). Hadoop/OpenStack carry no inline labels; an optional label
-    file mapping line_no to 0/1 may be supplied for any kind.
+    normal, anything else marks the line anomalous; these kinds take no
+    label file. HDFS labels come from a block-id label file
+    (``blk_...,Anomaly|Normal`` or ``blk_...,0|1`` per line). Plain,
+    Hadoop and OpenStack lines carry no inline labels; an optional label
+    file maps line_no (from 0) to 0/1.
     """
     if dataset_kind not in DATASET_KINDS:
         raise EvalError(f"unknown dataset kind {dataset_kind!r}; expected one of {DATASET_KINDS}")
+    if label_path and dataset_kind in INLINE_TAG_KINDS:
+        raise EvalError(f"{dataset_kind} takes no label file: its lines carry inline alert tags")
     line_labels = _load_line_labels(label_path) if label_path and dataset_kind not in ("hdfs",) else {}
     block_labels = _load_block_labels(label_path) if label_path and dataset_kind == "hdfs" else {}
 
@@ -413,7 +418,7 @@ def load_loghub_sample(
             if not text.strip():
                 continue
             gold: Optional[int] = line_labels.get(line_no)
-            if dataset_kind in ("bgl", "thunderbird"):
+            if dataset_kind in INLINE_TAG_KINDS:
                 parts = text.split(maxsplit=1)
                 if len(parts) < 2:
                     raise EvalError(

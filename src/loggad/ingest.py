@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 NUM_SENTINEL = "[Num]"
@@ -35,7 +35,6 @@ class NormalizationError(IngestError):
 class RawLogRecord:
     line_no: int
     text: str
-    timestamp: Optional[str] = None
     gold_label: Optional[int] = None  # 0 = Normal, 1 = Anomaly
 
     def __post_init__(self):
@@ -77,42 +76,23 @@ def normalize_line(text: str) -> list[str]:
     return tokens
 
 
-@dataclass
-class RejectReport:
-    """Records that matched no grouping key, kept for inspection."""
-
-    records: list[RawLogRecord] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.records)
-
-
-def read_plain_records(path) -> list[RawLogRecord]:
-    """One record per non-blank line of a raw log file, numbered from 0."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return [
-            RawLogRecord(line_no=line_no, text=text)
-            for line_no, text in enumerate(raw.rstrip("\n") for raw in fh)
-            if text.strip()
-        ]
-
-
 def group_by_key(
     records: list[RawLogRecord], key_pattern: str | re.Pattern
-) -> tuple[list[LogSequence], RejectReport]:
+) -> tuple[list[LogSequence], list[RawLogRecord]]:
     """Partition records into sequences keyed by a regex match on raw text.
 
     One sequence per distinct key, tokens concatenated in line order.
     A sequence is Anomaly iff any member record is Anomaly. Records
-    matching no key land in the reject report instead of being dropped.
+    matching no key are returned as the second element instead of being
+    dropped.
     """
     pattern = re.compile(key_pattern)
     groups: dict[str, list[RawLogRecord]] = {}
-    rejects = RejectReport()
+    rejects: list[RawLogRecord] = []
     for rec in sorted(records, key=lambda r: r.line_no):
         m = pattern.search(rec.text)
         if m is None:
-            rejects.records.append(rec)
+            rejects.append(rec)
             continue
         key = m.group(0)
         groups.setdefault(key, []).append(rec)

@@ -13,8 +13,7 @@ Fine-tuning targets are the decisive keyword votes. From the second
 iteration on, a sequence whose vote falls below ``finetune_margin`` is
 trained toward the previous iteration's classifier label instead of being
 dropped; the first iteration has no such labels (the bootstrap split is
-only a keyword seed, random in ``init_mode="random"``), so there it is
-dropped.
+only a keyword seed), so there it is dropped.
 
 Gold labels never reach any of this: the corpus is stripped of them at the
 entry point, so poisoned gold labels cannot change anything before the
@@ -62,7 +61,6 @@ class SingleClassError(PipelineError):
 
 
 ANNOTATOR_MODES = ("full", "no_selfsup", "counting")
-INIT_MODES = ("seeded", "random")
 
 
 # PipelineConfig field type -> parser of its INI value
@@ -97,7 +95,6 @@ class PipelineConfig:
     max_iterations: int = 10
     seed: int = 7
     annotator_mode: str = "full"
-    init_mode: str = "seeded"
     seed_keywords: list[str] = field(default_factory=list)
     walk_max_length: int = 64
     stopwords_path: Optional[str] = None
@@ -105,9 +102,12 @@ class PipelineConfig:
     def __post_init__(self):
         if self.annotator_mode not in ANNOTATOR_MODES:
             raise PipelineError(f"annotator_mode must be one of {ANNOTATOR_MODES}")
-        if self.init_mode not in INIT_MODES:
-            raise PipelineError(f"init_mode must be one of {INIT_MODES}")
-        for name in ("max_iterations", "annotator_batch", "classifier_batch"):
+        for name in (
+            "keywords_per_class", "idf_exponent", "cooccur_window", "gin_layers",
+            "gin_hidden", "annotator_epochs", "annotator_batch", "finetune_epochs",
+            "classifier_epochs", "classifier_batch", "embed_dim", "classifier_hidden",
+            "max_iterations", "walk_max_length",
+        ):
             if getattr(self, name) < 1:
                 raise PipelineError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -173,48 +173,38 @@ def bootstrap(
     config: PipelineConfig,
     stopwords: Optional[frozenset[str]] = None,
 ) -> tuple[KeywordSet, ClassifiedCorpus]:
-    """Initial keyword set and initial class split.
+    """Initial keyword set and initial class split, from the seed keywords.
 
-    ``stopwords`` replaces the default stopword list when given;
-    ``run_pipeline`` loads it once from ``config.stopwords_path``.
-    Seeded mode: the supplied seed keywords define the Anomaly class;
-    sequences containing any seed form the initial anomaly split, and the
-    Normal keyword list is extracted from the remainder. Random mode:
-    a balanced random split, then top keywords from both sides.
+    The seed keywords define the Anomaly class: sequences containing any
+    seed form the initial anomaly split, and the Normal keyword list is
+    extracted from the remainder. ``stopwords`` replaces the default
+    stopword list when given; ``run_pipeline`` loads it once from
+    ``config.stopwords_path``.
     """
     if not corpus:
         raise PipelineError("empty corpus")
-    if config.init_mode == "seeded":
-        seeds = [w.lower() for w in config.seed_keywords]
-        if not seeds:
-            raise PipelineError("seeded init_mode requires seed_keywords")
-        seed_set = set(seeds)
-        classified = [
-            (seq, ANOMALY if seed_set.intersection(seq.tokens) else NORMAL) for seq in corpus
-        ]
-        n_hits = sum(1 for _, lbl in classified if lbl == ANOMALY)
-        if n_hits == 0:
-            raise PipelineError(f"no sequence contains any seed keyword {seeds}")
-        if n_hits == len(corpus):
-            raise PipelineError("every sequence contains a seed keyword; cannot split")
-        anomaly_list = sorted(
-            ((w, score(w, ANOMALY, classified, config.idf_exponent)) for w in seed_set),
-            key=lambda item: (-item[1], item[0]),
-        )
-        # Initial normal list kept as short as the seed list: symmetric list
-        # sizes keep the term-frequency vote unbiased at cold start.
-        normal_list = extract_top(
-            classified, len(seed_set), config.idf_exponent, stopwords=stopwords
-        ).normal
-        keywords = KeywordSet(normal=normal_list, anomaly=anomaly_list, iteration_index=0)
-        return keywords, classified
-    rng = _rng(config.seed, 0, 0)
-    labels = np.zeros(len(corpus), dtype=int)
-    labels[rng.permutation(len(corpus))[: len(corpus) // 2]] = 1
-    classified = [(seq, int(lbl)) for seq, lbl in zip(corpus, labels)]
-    keywords = extract_top(
-        classified, config.keywords_per_class, config.idf_exponent, stopwords=stopwords
+    seeds = [w.lower() for w in config.seed_keywords]
+    if not seeds:
+        raise PipelineError("seed_keywords is empty; the bootstrap needs at least one seed word")
+    seed_set = set(seeds)
+    classified = [
+        (seq, ANOMALY if seed_set.intersection(seq.tokens) else NORMAL) for seq in corpus
+    ]
+    n_hits = sum(1 for _, lbl in classified if lbl == ANOMALY)
+    if n_hits == 0:
+        raise PipelineError(f"no sequence contains any seed keyword {seeds}")
+    if n_hits == len(corpus):
+        raise PipelineError("every sequence contains a seed keyword; cannot split")
+    anomaly_list = sorted(
+        ((w, score(w, ANOMALY, classified, config.idf_exponent)) for w in seed_set),
+        key=lambda item: (-item[1], item[0]),
     )
+    # Initial normal list kept as short as the seed list: symmetric list
+    # sizes keep the term-frequency vote unbiased at cold start.
+    normal_list = extract_top(
+        classified, len(seed_set), config.idf_exponent, stopwords=stopwords
+    ).normal
+    keywords = KeywordSet(normal=normal_list, anomaly=anomaly_list, iteration_index=0)
     return keywords, classified
 
 
@@ -367,7 +357,7 @@ def run_pipeline(
             )
         except (
             eg.GraphError, ann.AnnotatorError, clf.ClassifierError, KeywordError,
-            SingleClassError, nn.TrainingDiverged,
+            SingleClassError, nn.TrainingDiverged, walks.WalkError,
         ) as exc:
             if isinstance(exc, SingleClassError) and records:
                 stop_reason = f"iteration {iteration}: {exc}; kept iteration {iteration - 1}"

@@ -79,6 +79,24 @@ class TestIngest:
                     "--window", "1", "--out", str(out)]) == EXIT_OK
         assert [s.gold_label for s in ingest.read_jsonl(out)] == [0, 1]
 
+    def test_plain_kind_sets_line_labels_from_zero(self, tmp_path):
+        raw = tmp_path / "raw.log"
+        raw.write_text("alpha beta\ngamma delta\nepsilon zeta\n")
+        labels = tmp_path / "lines.csv"
+        labels.write_text("0,0\n1,1\n")
+        out = tmp_path / "seqs.jsonl"
+        assert run(["ingest", "--input", str(raw), "--kind", "plain", "--labels", str(labels),
+                    "--window", "1", "--out", str(out)]) == EXIT_OK
+        assert [s.gold_label for s in ingest.read_jsonl(out)] == [0, 1, None]
+
+    def test_empty_plain_file_exits_1(self, tmp_path, capsys):
+        raw = tmp_path / "raw.log"
+        raw.write_text("\n\n")
+        out = tmp_path / "seqs.jsonl"
+        assert run(["ingest", "--input", str(raw), "--kind", "plain",
+                    "--out", str(out)]) == EXIT_ERROR
+        assert f"no records in {raw}" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path):
         out = tmp_path / "seqs.jsonl"
         assert run(["ingest", "--input", str(tmp_path / "nope.log"),
@@ -225,7 +243,12 @@ class TestTrainDetectReportEval:
         assert saved["max_iterations"] == 2
         assert saved["seed_keywords"] == ["fault0_trap", "fault1_trap"]
 
-    @pytest.mark.parametrize("field", ["max_iterations", "annotator_batch", "classifier_batch"])
+    @pytest.mark.parametrize("field", [
+        "max_iterations", "annotator_batch", "classifier_batch", "keywords_per_class",
+        "idf_exponent", "cooccur_window", "gin_layers", "gin_hidden", "annotator_epochs",
+        "finetune_epochs", "classifier_epochs", "embed_dim", "classifier_hidden",
+        "walk_max_length",
+    ])
     def test_config_below_one_exits_1_naming_the_field(self, tmp_path, synth_corpus, capsys,
                                                        field):
         ini = tmp_path / "cfg.ini"

@@ -427,6 +427,24 @@ class TestLoaders:
         with pytest.raises(EvalError):
             load_loghub_sample(path, "syslog")
 
+    @pytest.mark.parametrize("kind", ["bgl", "thunderbird"])
+    def test_inline_tag_kind_rejects_a_label_file(self, tmp_path, kind):
+        log = tmp_path / "bgl.log"
+        log.write_text("- ts ok message\n- ts ok again\n")
+        labels = tmp_path / "lines.csv"
+        labels.write_text("0,1\n")
+        with pytest.raises(EvalError, match=f"{kind} takes no label file"):
+            load_loghub_sample(log, kind, label_path=labels)
+
+    def test_plain_numbers_lines_from_zero_and_skips_blank(self, tmp_path):
+        path = tmp_path / "raw.log"
+        path.write_bytes(b"alpha beta\n\n   \ngamma \xff delta\n")
+        records = load_loghub_sample(path, "plain")
+        assert [(r.line_no, r.text) for r in records] == [
+            (0, "alpha beta"),
+            (3, "gamma � delta"),
+        ]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "x.log"
         path.write_text("\n\n")

@@ -130,7 +130,7 @@ class TestGroupByKey:
         sequences, rejects = group_by_key(records, r"blk_\d+")
         assert len(sequences) == 1
         assert len(rejects) == 1
-        assert rejects.records[0].text == "no key here"
+        assert rejects[0].text == "no key here"
 
     def test_no_match_is_error(self):
         records = self.make([("nothing", 0)])
@@ -241,13 +241,3 @@ class TestJsonl:
         assert reason in str(info.value)
         assert "line 1 " not in str(info.value)
 
-
-class TestReadPlainRecords:
-    def test_numbers_lines_from_zero_and_skips_blank(self, tmp_path):
-        path = tmp_path / "raw.log"
-        path.write_bytes(b"alpha beta\n\n   \ngamma \xff delta\n")
-        records = ingest.read_plain_records(path)
-        assert [(r.line_no, r.text) for r in records] == [
-            (0, "alpha beta"),
-            (3, "gamma � delta"),
-        ]

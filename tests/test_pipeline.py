@@ -58,10 +58,6 @@ class TestConfig:
         with pytest.raises(PipelineError):
             PipelineConfig(annotator_mode="votes")
 
-    def test_bad_init_rejected(self):
-        with pytest.raises(PipelineError):
-            PipelineConfig(init_mode="warm")
-
     def test_dict_round_trip(self):
         cfg = fast_config()
         assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
@@ -90,8 +86,8 @@ class TestConfig:
             finetune_margin=0.35, finetune_lr=2.5e-3, annotator_lr=3e-5,
             classifier_epochs=4, classifier_batch=9, classifier_lr=7.5e-4, embed_dim=12,
             classifier_hidden=24, drift_threshold=0.05, max_iterations=3, seed=11,
-            annotator_mode="no_selfsup", init_mode="random",
-            seed_keywords=["failed", "denied"], walk_max_length=32, stopwords_path="stop.txt",
+            annotator_mode="no_selfsup", seed_keywords=["failed", "denied"],
+            walk_max_length=32, stopwords_path="stop.txt",
         )
         names = [f.name for f in fields(PipelineConfig)]
         assert all(getattr(cfg, n) != getattr(PipelineConfig(), n) for n in names)
@@ -162,14 +158,6 @@ class TestBootstrap:
         with pytest.raises(PipelineError):
             bootstrap([], fast_config())
 
-    def test_random_init_balanced(self):
-        corpus, _ = tiny_corpus()
-        cfg = fast_config(init_mode="random", seed_keywords=[])
-        keywords, classified = bootstrap(strip_gold(corpus), cfg)
-        ones = sum(lbl for _, lbl in classified)
-        assert ones == len(corpus) // 2
-        assert len(keywords.anomaly) > 0 and len(keywords.normal) > 0
-
 
 class TestRunPipeline:
     def test_converges_and_reports_gammas(self):
@@ -208,6 +196,19 @@ class TestRunPipeline:
         assert result.final_annotator is not None
         assert len(result.records[0].pretrain_trace) > 0
         assert len(result.records[0].finetune_trace) > 0
+
+    def test_walk_failure_fails_the_run_cleanly(self, tmp_path):
+        # "the", "a" and "of" are stopwords, so the Normal keyword list is
+        # empty and the walk sampler has no Normal start vertex
+        corpus = [
+            LogSequence(id="a", tokens=["fault0_trap", "x", "y"]),
+            LogSequence(id="b", tokens=["the", "a"]),
+            LogSequence(id="c", tokens=["of", "the"]),
+        ]
+        cfg = fast_config(annotator_mode="full", seed_keywords=["fault0_trap"])
+        with pytest.raises(PipelineError, match="class 0 has no keyword present in the graph"):
+            run_pipeline(corpus, cfg, out_dir=tmp_path)
+        assert json.loads((tmp_path / "failure.json").read_text())["iteration"] == 1
 
     def test_finetune_prior_is_previous_iteration_predictions(self, monkeypatch):
         # iteration 1 fine-tunes without prior labels (the bootstrap split
@@ -319,12 +320,10 @@ class TestDeterminism:
         b = self.run_once(tmp_path, "b", corpus, cfg)
         assert self.artifact_bytes(a) == self.artifact_bytes(b)
 
-    def test_seed_changes_random_init_run(self, tmp_path):
-        # seed 6: the random 50/50 bootstrap needs a corpus where neither
-        # run collapses to all-Normal predictions
+    def test_seed_changes_run(self, tmp_path):
         corpus, _ = tiny_corpus(seed=6)
-        r1 = run_pipeline(corpus, fast_config(init_mode="random", seed_keywords=[], seed=1))
-        r2 = run_pipeline(corpus, fast_config(init_mode="random", seed_keywords=[], seed=2))
+        r1 = run_pipeline(corpus, fast_config(seed=1))
+        r2 = run_pipeline(corpus, fast_config(seed=2))
         k1 = [w for w, _ in r1.records[0].keywords.anomaly]
         k2 = [w for w, _ in r2.records[0].keywords.anomaly]
         assert k1 != k2 or r1.predictions != r2.predictions
