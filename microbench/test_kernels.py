@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the two trainable models' batched kernels, walk
+"""Micro-benchmarks of the two trainable models' batched kernels, one
+classifier training epoch (the per-step cost of ``nn.fit``), walk
 sampling, the event graph and keyword kernels, the synthetic generator,
 and the JSONL read and ``loggad detect`` paths.
 
@@ -89,6 +90,15 @@ def test_classifier_step(benchmark, corpus):
         return loss
 
     assert np.isfinite(benchmark(step))
+
+
+def test_classifier_train_epoch(benchmark, corpus):
+    # one pass of 80 minibatches of 5: the per-step cost of classifier training
+    train = corpus[:400]
+    model = clf.ClassifierModel.create(train, np.random.default_rng(2))
+    labels = [ann.PseudoLabel(seq.id, i % 2, 1.0) for i, seq in enumerate(train)]
+    trace = benchmark(clf.train, model, train, labels, epochs=1, rng=np.random.default_rng(4))
+    assert len(trace) == 80 and np.isfinite(trace).all()
 
 
 def test_classifier_predict_1000(benchmark, corpus):

@@ -25,7 +25,6 @@ trained model then pseudo-labels every sequence.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -269,13 +268,16 @@ def pretrain(
     return nn.fit(model.params, partial(loss_and_grads, model), batches, lr, "annotator")
 
 
-def vote_counts(seq: LogSequence, keywords: KeywordSet) -> tuple[int, int]:
-    """(Normal, Anomaly) keyword hits of a sequence, counted with multiplicity."""
-    counts = Counter(seq.tokens)
-    return (
-        sum(counts[w] for w in keywords.class_words(NORMAL)),
-        sum(counts[w] for w in keywords.class_words(ANOMALY)),
-    )
+def vote_counts(corpus: list[LogSequence], keywords: KeywordSet) -> list[tuple[int, int]]:
+    """(Normal, Anomaly) keyword hits per sequence, counted with multiplicity.
+
+    A word on both class lists counts once for each class.
+    """
+    normal, anomaly = set(keywords.class_words(NORMAL)), set(keywords.class_words(ANOMALY))
+    return [
+        (sum(1 for t in seq.tokens if t in normal), sum(1 for t in seq.tokens if t in anomaly))
+        for seq in corpus
+    ]
 
 
 def _vote(n: int, a: int) -> Optional[int]:
@@ -294,12 +296,12 @@ def vote_label(seq: LogSequence, keywords: KeywordSet) -> Optional[int]:
     Returns None (abstain) when the sequence contains no keyword at all;
     ties break toward Normal.
     """
-    return _vote(*vote_counts(seq, keywords))
+    return _vote(*vote_counts([seq], keywords)[0])
 
 
 def vote_margin(seq: LogSequence, keywords: KeywordSet) -> float:
     """Decisiveness of the keyword vote: |A - N| / (A + N), 0 on abstain."""
-    return _margin(*vote_counts(seq, keywords))
+    return _margin(*vote_counts([seq], keywords)[0])
 
 
 def _vote_pseudo_label(sequence_id: str, n: int, a: int) -> PseudoLabel:
@@ -315,7 +317,10 @@ def vote_annotate(corpus: list[LogSequence], keywords: KeywordSet) -> list[Pseud
     Confidence is the winning class's share of keyword hits; abstentions
     fall back to Normal at 0.5 and are flagged.
     """
-    return [_vote_pseudo_label(seq.id, *vote_counts(seq, keywords)) for seq in corpus]
+    return [
+        _vote_pseudo_label(seq.id, n, a)
+        for seq, (n, a) in zip(corpus, vote_counts(corpus, keywords))
+    ]
 
 
 def finetune(
@@ -346,8 +351,7 @@ def finetune(
         raise AnnotatorError(f"margin must be in [0, 1), got {margin}")
     prior = prior or {}
     pairs = []
-    for seq in corpus:
-        n, a = vote_counts(seq, keywords)
+    for seq, (n, a) in zip(corpus, vote_counts(corpus, keywords)):
         label = _vote(n, a)
         if label is None:
             continue

@@ -9,11 +9,14 @@ swapped in by the pipeline.
 
 The kernel is batched: the token ids of a minibatch are concatenated, mean
 pooling is one segment sum (``np.add.reduceat``), and the embedding
-gradient is scattered back with ``np.add.at``. A single sequence is a batch
-of one. ``predict`` runs the same forward pass over fixed-size blocks of
-the corpus, and its dense layers use a row-by-row product so a sequence's
-prediction does not depend on which sequences share the call. ``train``
-runs the minibatch Adam loop of ``nn.fit``.
+gradient is one ``np.bincount`` over (row, column) slots, which adds each
+slot's values in the order ``np.add.at`` would. A single sequence is a
+batch of one. ``predict`` runs the same forward pass over fixed-size blocks
+of the corpus, and its dense layers use a row-by-row product so a
+sequence's prediction does not depend on which sequences share the call.
+``train`` looks up each sequence's token ids once and runs the minibatch
+Adam loop of ``nn.fit`` over them; Adam keeps the parameters in one flat
+buffer, and ``model.params`` holds named views of it.
 """
 
 from __future__ import annotations
@@ -101,7 +104,8 @@ class ClassifierModel:
 
 
 def _as_batch(tokens) -> tuple[list, bool]:
-    """(token lists, single): one token list is a batch of one."""
+    """(batch, single): one token list is a batch of one; a batch holds
+    token lists or, as ``train`` feeds it, id arrays from ``token_ids``."""
     if len(tokens) and not isinstance(tokens[0], str):
         return list(tokens), False
     return [tokens], True
@@ -129,11 +133,14 @@ class _Pass:
     logits: np.ndarray  # (B, 2)
 
 
-def _forward_pass(model: ClassifierModel, token_lists: list) -> _Pass:
-    lengths = np.array([len(tokens) for tokens in token_lists], dtype=np.int64)
+def _forward_pass(model: ClassifierModel, batch: list) -> _Pass:
+    lengths = np.array([len(x) for x in batch], dtype=np.int64)
     if lengths.size == 0 or not lengths.all():
         raise ClassifierError("cannot classify an empty batch or an empty token sequence")
-    ids = model.token_ids(chain.from_iterable(token_lists))
+    if isinstance(batch[0], np.ndarray):
+        ids = np.concatenate(batch)
+    else:
+        ids = model.token_ids(chain.from_iterable(batch))
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     p = model.params
     x = np.add.reduceat(p["emb"][ids], starts, axis=0) / lengths[:, None]
@@ -152,7 +159,7 @@ def loss_and_grads(model: ClassifierModel, tokens, target) -> tuple[float, nn.Pa
     """Mean cross-entropy loss and its analytic gradients over a batch.
 
     ``tokens`` is a token list with an int target, or a list of token lists
-    with one target each.
+    (or of ``token_ids`` arrays) with one target each.
     """
     batch, _ = _as_batch(tokens)
     target = np.atleast_1d(np.asarray(target, dtype=np.int64))
@@ -164,10 +171,13 @@ def loss_and_grads(model: ClassifierModel, tokens, target) -> tuple[float, nn.Pa
 
     du = (dlogits @ p["W2"].T) * (1.0 - fp.t * fp.t)
     dx = (du @ p["W1"].T) / fp.lengths[:, None]
-    demb = np.zeros_like(p["emb"])
-    np.add.at(demb, fp.ids, np.repeat(dx, fp.lengths, axis=0))
+    emb = p["emb"]
+    slots = (fp.ids[:, None] * emb.shape[1] + np.arange(emb.shape[1])).ravel()
+    demb = np.bincount(
+        slots, weights=np.repeat(dx, fp.lengths, axis=0).ravel(), minlength=emb.size
+    )
     grads = {
-        "emb": demb,
+        "emb": demb.reshape(emb.shape),
         "W1": fp.x.T @ du,
         "b1": du.sum(axis=0),
         "W2": fp.t.T @ dlogits,
@@ -197,11 +207,8 @@ def train(
             f"label/corpus mismatch: {len(missing)} sequences unlabeled, "
             f"{len(by_id)} labels for {len(corpus)} sequences"
         )
-    examples = [
-        (seq.tokens, by_id[seq.id])
-        for seq in corpus
-        if np.any(model.token_ids(seq.tokens) != UNK)
-    ]
+    encoded = ((model.token_ids(seq.tokens), by_id[seq.id]) for seq in corpus)
+    examples = [(ids, label) for ids, label in encoded if (ids != UNK).any()]
     if not examples:
         raise ClassifierError("every sequence is entirely out-of-vocabulary")
     batches = nn.minibatches(examples, epochs, batch_size, rng or np.random.default_rng(0))

@@ -46,6 +46,10 @@ def cmd_ingest(args) -> int:
     sequences = ev.sequences_from_records(records, args.kind, window_size=args.window)
     ingest.write_jsonl(sequences, args.out)
     print(f"wrote {len(sequences)} sequences to {args.out}")
+    if args.kind != "hdfs":
+        skipped = -(-len(records) // args.window) - len(sequences)
+        if skipped:
+            print(f"skipped {skipped} window(s) whose lines normalize to no token")
     return EXIT_OK
 
 
@@ -150,6 +154,16 @@ def cmd_report(args) -> int:
         writer.writerow(["iteration", "gamma"])
         writer.writerows(gamma_rows)
     print(f"gamma series: {csv_path}")
+    print("loss per iteration (first / min / last; - for a phase that took no step)")
+    for entry in manifest["iterations"]:
+        if "loss" not in entry:  # written before the manifest kept loss curves
+            continue
+        curves = []
+        for phase in ("pretrain", "finetune", "classifier"):
+            c = entry["loss"][phase]
+            summary = "-" if c is None else f"{c['first']:.4g} / {c['min']:.4g} / {c['last']:.4g}"
+            curves.append(f"{phase} {summary}")
+        print(f"  iteration {entry['iteration']}: " + "; ".join(curves))
     if manifest.get("stop_reason"):
         print(f"stopped early: {manifest['stop_reason']}")
     return EXIT_OK

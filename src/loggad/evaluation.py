@@ -402,7 +402,8 @@ def load_loghub_sample(
     label file. HDFS labels come from a block-id label file
     (``blk_...,Anomaly|Normal`` or ``blk_...,0|1`` per line). Plain,
     Hadoop and OpenStack lines carry no inline labels; an optional label
-    file maps line_no (from 0) to 0/1.
+    file maps line_no (from 0) to 0/1, and a label naming a blank line or
+    a line past the end of the log raises EvalError naming its file line.
     """
     if dataset_kind not in DATASET_KINDS:
         raise EvalError(f"unknown dataset kind {dataset_kind!r}; expected one of {DATASET_KINDS}")
@@ -412,12 +413,15 @@ def load_loghub_sample(
     block_labels = _load_block_labels(label_path) if label_path and dataset_kind == "hdfs" else {}
 
     records = []
+    n_lines = 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line_no, raw in enumerate(fh):
+            n_lines += 1
             text = raw.rstrip("\n")
             if not text.strip():
                 continue
-            gold: Optional[int] = line_labels.get(line_no)
+            labelled = line_labels.pop(line_no, None)
+            gold: Optional[int] = labelled[0] if labelled else None
             if dataset_kind in INLINE_TAG_KINDS:
                 parts = text.split(maxsplit=1)
                 if len(parts) < 2:
@@ -434,6 +438,12 @@ def load_loghub_sample(
             records.append(RawLogRecord(line_no=line_no, text=text, gold_label=gold))
     if not records:
         raise EvalError(f"no records in {path}")
+    for line_no, (_, file_line) in line_labels.items():  # labels no record took
+        where = (
+            f"is blank in {path}" if line_no < n_lines
+            else f"is past the end of {path}, which has {n_lines} lines numbered from 0"
+        )
+        raise EvalError(f"{label_path}, line {file_line}: labelled log line {line_no} {where}")
     return records
 
 
@@ -462,9 +472,9 @@ def _load_block_labels(path) -> dict[str, int]:
     return labels
 
 
-def _load_line_labels(path) -> dict[int, int]:
-    """Log line number -> label from ``line_no,tag`` lines, the tag 0 or 1;
-    anything else raises EvalError naming the file line (from 1)."""
+def _load_line_labels(path) -> dict[int, tuple[int, int]]:
+    """Log line number -> (label, label-file line from 1) from ``line_no,tag``
+    lines, the tag 0 or 1; anything else raises EvalError naming the file line."""
     labels = {}
     with open(path, "r", encoding="utf-8") as fh:
         for file_line, line in enumerate(fh, 1):
@@ -477,7 +487,7 @@ def _load_line_labels(path) -> dict[int, int]:
                     f"{path}, line {file_line}: expected 'line_no,label' with label 0 or 1, "
                     f"got {line!r}"
                 )
-            labels[int(line_no)] = _LINE_TAGS[tag]
+            labels[int(line_no)] = (_LINE_TAGS[tag], file_line)
     return labels
 
 

@@ -4,6 +4,8 @@ Everything runs in float64. No autodiff: each model supplies its own
 analytic gradients, verified against finite differences in the test suite.
 All training runs through ``fit``: annotator pre-training and fine-tuning
 and the classifier are the same minibatch Adam loop over different batches.
+``Adam`` keeps the parameters it trains in one flat float64 vector, so a
+step is a few whole-vector operations however many arrays a model has.
 """
 
 from __future__ import annotations
@@ -58,8 +60,18 @@ def clip_global_norm(grads: Params, max_norm: float) -> float:
     return total
 
 
-def zeros_like_params(params: Params) -> Params:
-    return {k: np.zeros_like(v) for k, v in params.items()}
+def zeros_like_params(params: Params) -> np.ndarray:
+    """One flat float64 zero vector with a slot for every element of ``params``."""
+    return np.zeros(sum(p.size for p in params.values()))
+
+
+def _named_views(flat: np.ndarray, like: Params) -> Params:
+    """Views of consecutive slices of ``flat``, named and shaped like ``like``."""
+    views, start = {}, 0
+    for k, p in like.items():
+        views[k] = flat[start : start + p.size].reshape(p.shape)
+        start += p.size
+    return views
 
 
 BETA1 = 0.9
@@ -69,25 +81,38 @@ CLIP_NORM = 5.0  # gradients are rescaled to this global norm before each step
 
 
 class Adam:
-    """Adam with global-norm gradient clipping at ``CLIP_NORM``."""
+    """Adam with global-norm gradient clipping at ``CLIP_NORM``.
+
+    The parameters move into one flat buffer: each ``params[k]`` of the
+    caller's dict is rebound to a named view of it, and the moments ``m``
+    and ``v`` are flat too, readable per parameter as ``m[k]`` and ``v[k]``.
+    A step updates every element with the same operations in the same
+    order as a per-parameter loop would, so the bits are the same.
+    """
 
     def __init__(self, params: Params, lr: float):
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m = zeros_like_params(params)
-        self.v = zeros_like_params(params)
+        self._p = np.concatenate([p.ravel() for p in params.values()])
+        params.update(_named_views(self._p, params))
+        self._m = zeros_like_params(params)
+        self._v = zeros_like_params(params)
+        self.m = _named_views(self._m, params)
+        self.v = _named_views(self._v, params)
 
     def step(self, grads: Params) -> None:
         clip_global_norm(grads, CLIP_NORM)
         self.t += 1
         b1, b2 = BETA1, BETA2
         correction = np.sqrt(1 - b2**self.t) / (1 - b1**self.t)
-        for k, p in self.params.items():
-            g = grads[k]
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            p -= self.lr * correction * self.m[k] / (np.sqrt(self.v[k]) + EPS)
+        g = np.concatenate([grads[k].ravel() for k in self.params])
+        m, v = self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        self._p -= self.lr * correction * m / (np.sqrt(v) + EPS)
 
 
 def minibatches(

@@ -419,6 +419,13 @@ def _write_iteration_artifacts(out: Path, record, pseudo, predictions) -> None:
         fh.writelines(clf.prediction_lines(predictions))
 
 
+def _loss_summary(trace: list[float]) -> Optional[dict[str, float]]:
+    """First, minimum and last loss of a training trace; None for no steps."""
+    if not trace:
+        return None
+    return {"first": trace[0], "min": min(trace), "last": trace[-1]}
+
+
 def _write_manifest(out: Path, config: PipelineConfig, corpus, result: PipelineResult) -> None:
     from loggad import __version__
 
@@ -442,6 +449,11 @@ def _write_manifest(out: Path, config: PipelineConfig, corpus, result: PipelineR
                 "keywords_path": f"keywords_{r.iteration:03d}.json",
                 "pseudo_labels_path": f"pseudo_labels_{r.iteration:03d}.jsonl",
                 "predictions_path": f"predictions_{r.iteration:03d}.jsonl",
+                "loss": {
+                    "pretrain": _loss_summary(r.pretrain_trace),
+                    "finetune": _loss_summary(r.finetune_trace),
+                    "classifier": _loss_summary(r.classifier_trace),
+                },
             }
             for r in result.records
         ],

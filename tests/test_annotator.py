@@ -1,5 +1,6 @@
 """Annotator model: gradients, invariances, voting and training behavior."""
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,6 +328,23 @@ class TestVote:
 
     def test_margin_zero_on_abstain(self):
         assert ann.vote_margin(LogSequence(id="x", tokens=["zzz"]), self.KS) == 0.0
+
+    def test_counts_match_a_counter_oracle(self):
+        # words on both lists count for both classes; repeats count each time
+        ks = kwset(["ok", "up", "node", "link"], ["fail", "node", "link", "trap"])
+        rng = np.random.default_rng(5)
+        words = ["ok", "up", "node", "link", "fail", "trap", "zzz", "other"]
+        corpus = seqs(*([words[i] for i in rng.integers(0, len(words), size=n)]
+                        for n in rng.integers(1, 15, size=50)))
+        expected = []
+        for seq in corpus:
+            counts = Counter(seq.tokens)
+            expected.append((
+                sum(counts[w] for w in ks.class_words(NORMAL)),
+                sum(counts[w] for w in ks.class_words(ANOMALY)),
+            ))
+        assert ann.vote_counts(corpus, ks) == expected
+        assert ann.vote_counts(seqs(["node", "node", "ok"]), ks) == [(3, 2)]
 
     def test_vote_annotate_confidence_and_flag(self):
         corpus = seqs(["fail", "fail", "ok"], ["zzz"])

@@ -1,6 +1,7 @@
 """Pseudo-label classifier: gradients, training behavior and persistence."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -110,6 +111,36 @@ class TestBatchedKernel:
         for name in model.params:
             assert rel_err(analytic[name], numeric[name]) < 1e-4, name
 
+    def test_embedding_gradient_equals_the_add_at_scatter(self):
+        # the reference scatters each token's row of dx with np.add.at, in
+        # token order; the kernel's one bincount must give the same bytes
+        model = perturbed_model(np.random.default_rng(34), self.VOCAB)
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            batch = [
+                [self.VOCAB[i] for i in rng.integers(0, 3, size=rng.integers(1, 12))]
+                for _ in range(rng.integers(1, 8))
+            ]
+            targets = rng.integers(0, 2, size=len(batch)).tolist()
+            _, grads = clf.loss_and_grads(model, batch, targets)
+            p = model.params
+            fp = clf._forward_pass(model, batch)
+            _, dlogits = nn.cross_entropy(fp.logits, np.array(targets))
+            du = (dlogits @ p["W2"].T) * (1.0 - fp.t * fp.t)
+            dx = (du @ p["W1"].T) / fp.lengths[:, None]
+            reference = np.zeros_like(p["emb"])
+            np.add.at(reference, fp.ids, np.repeat(dx, fp.lengths, axis=0))
+            assert grads["emb"].tobytes() == reference.tobytes()
+
+    def test_id_arrays_give_the_token_lists_bytes(self):
+        model = perturbed_model(np.random.default_rng(36), self.VOCAB)
+        loss, grads = clf.loss_and_grads(model, self.BATCH, self.TARGETS)
+        ids_loss, ids_grads = clf.loss_and_grads(
+            model, [model.token_ids(t) for t in self.BATCH], self.TARGETS
+        )
+        assert ids_loss == loss
+        assert all(ids_grads[k].tobytes() == grads[k].tobytes() for k in grads)
+
     def test_target_count_and_empty_sequences_rejected(self):
         model = perturbed_model(np.random.default_rng(33), self.VOCAB)
         with pytest.raises(ClassifierError):
@@ -179,6 +210,25 @@ class TestTrain:
         model.params["W2"][:] = np.nan
         with pytest.raises(nn.TrainingDiverged):
             clf.train(model, corpus, labels_for(corpus, lambda s: 0), epochs=1)
+
+    def test_training_on_encoded_ids_matches_a_token_list_loop(self):
+        # reference: the token lists themselves batched through nn.fit, as
+        # train fed them before it looked each sequence's ids up once
+        corpus, gold = separable_corpus()
+        corpus.append(LogSequence(id="unk", tokens=["never", "seen"]))  # filtered out
+        gold["unk"] = 1
+        pseudo = labels_for(corpus, lambda s: gold[s.id])
+        model = ClassifierModel.create(corpus[:-1], np.random.default_rng(7))
+        reference = ClassifierModel.create(corpus[:-1], np.random.default_rng(7))
+        trace = clf.train(model, corpus, pseudo, epochs=3, rng=np.random.default_rng(8))
+        examples = [(s.tokens, gold[s.id]) for s in corpus[:-1]]
+        batches = nn.minibatches(examples, 3, 5, np.random.default_rng(8))
+        ref_trace = nn.fit(
+            reference.params, partial(clf.loss_and_grads, reference), batches, 1e-3, "reference"
+        )
+        assert trace == ref_trace and len(trace) == 24
+        for k in model.params:
+            assert model.params[k].tobytes() == reference.params[k].tobytes(), k
 
     def test_training_is_seed_deterministic(self):
         corpus, gold = separable_corpus()

@@ -89,6 +89,18 @@ class TestIngest:
                     "--window", "1", "--out", str(out)]) == EXIT_OK
         assert [s.gold_label for s in ingest.read_jsonl(out)] == [0, 1, None]
 
+    def test_a_blank_window_is_skipped_and_counted(self, tmp_path, capsys):
+        raw = tmp_path / "raw.log"
+        lines = [f"event {i} ok" for i in range(1000)]
+        lines[76] = "!!"
+        raw.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "seqs.jsonl"
+        assert run(["ingest", "--input", str(raw), "--kind", "plain",
+                    "--window", "1", "--out", str(out)]) == EXIT_OK
+        ids = [s.id for s in ingest.read_jsonl(out)]
+        assert ids == [f"win_{i:06d}" for i in range(1000) if i != 76]
+        assert "skipped 1 window(s)" in capsys.readouterr().out
+
     def test_empty_plain_file_exits_1(self, tmp_path, capsys):
         raw = tmp_path / "raw.log"
         raw.write_text("\n\n")
@@ -129,6 +141,15 @@ class TestTrainDetectReportEval:
             for row in (run_dir / "gamma.csv").read_text().splitlines()[1:]
         ]
         assert gammas and all(0.0 <= g <= 1.0 for g in gammas)
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        iterations = manifest["iterations"]
+        loss_lines = out.split("loss per iteration")[1].splitlines()[1 : 1 + len(iterations)]
+        for entry, line in zip(iterations, loss_lines, strict=True):
+            c = entry["loss"]["classifier"]
+            assert line == (
+                f"  iteration {entry['iteration']}: pretrain -; finetune -; "
+                f"classifier {c['first']:.4g} / {c['min']:.4g} / {c['last']:.4g}"
+            )
 
         # detect on the training corpus
         preds = tmp_path / "preds.jsonl"

@@ -412,6 +412,24 @@ class TestLoaders:
         with pytest.raises(EvalError, match=re.escape(f"{labels}, line 3: ")):
             load_loghub_sample(log, "hadoop", label_path=labels)
 
+    @pytest.mark.parametrize(
+        "log_text, label_text, message",
+        [
+            # a 1-based label file: its last label names a line past the end
+            ("a\nb\nc\n", "1,0\n2,0\n3,1\n",
+             "line 3: labelled log line 3 is past the end of {log}, which has 3 lines"),
+            ("a\n\nc\n", "0,0\n\n1,1\n", "line 3: labelled log line 1 is blank in {log}"),
+        ],
+    )
+    def test_label_naming_no_record_rejected(self, tmp_path, log_text, label_text, message):
+        log = tmp_path / "raw.log"
+        log.write_text(log_text)
+        labels = tmp_path / "lines.csv"
+        labels.write_text(label_text)
+        expected = f"{labels}, " + message.format(log=log)
+        with pytest.raises(EvalError, match=re.escape(expected)):
+            load_loghub_sample(log, "plain", label_path=labels)
+
     @pytest.mark.parametrize("bad", ["blk_2,Anomly", "blk_2,", "blk_2", "blk_2,2", "blk_2,yes"])
     def test_bad_block_label_rejected_naming_the_line(self, tmp_path, bad):
         log = tmp_path / "hdfs.log"

@@ -1,5 +1,6 @@
 """Normalization, grouping and windowing tests."""
 
+import json
 import re
 
 import pytest
@@ -173,6 +174,14 @@ class TestWindow:
         with pytest.raises(IngestError):
             window(self.make(3), 0)
 
+    def test_a_window_of_blank_lines_is_skipped_and_ids_are_kept(self):
+        records = self.make(5)
+        records[2] = RawLogRecord(line_no=2, text="!! --")
+        sequences = window(records, 1)
+        assert [s.id for s in sequences] == ["win_000000", "win_000001", "win_000003", "win_000004"]
+        with pytest.raises(IngestError, match="no window contains normalizable tokens"):
+            window([RawLogRecord(line_no=0, text="!!")], 1)
+
     @given(st.integers(min_value=1, max_value=50), st.integers(min_value=1, max_value=25))
     def test_window_count_formula(self, n, size):
         sequences = window(self.make(n), size)
@@ -200,6 +209,29 @@ class TestJsonl:
         ingest.write_jsonl(sequences, p1)
         ingest.write_jsonl(sequences, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_lines_are_the_bytes_json_dumps_gives(self, tmp_path):
+        awkward = ['quo"te', "back\\slash", "tab\tnl\ncr\r\x00\x1f\x7f", "naïve ünï", "日本",
+                   "astral \U0001f600", "/slash", "\u2028\u2029"]
+        sequences = [
+            LogSequence(id=awkward[i % len(awkward)] + str(i), tokens=awkward[i:] + ["x"],
+                        gold_label=(None, 0, 1)[i % 3])
+            for i in range(len(awkward))
+        ]
+        path = tmp_path / "seqs.jsonl"
+        ingest.write_jsonl(sequences, path)
+        expected = "".join(
+            json.dumps({"id": s.id, "tokens": s.tokens, "gold_label": s.gold_label},
+                       ensure_ascii=False) + "\n"
+            for s in sequences
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+        back = ingest.read_jsonl(path)
+        assert [(s.id, s.tokens, s.gold_label) for s in back] == [
+            (s.id, s.tokens, s.gold_label) for s in sequences
+        ]
+        with pytest.raises(IngestError, match="gold_label must be 0, 1 or None, got 2"):
+            ingest.write_jsonl([LogSequence(id="a", tokens=["x"], gold_label=2)], path)
 
     def test_iter_is_lazy_and_read_is_its_list(self, tmp_path):
         path = tmp_path / "seqs.jsonl"

@@ -111,3 +111,62 @@ class TestFit:
         with pytest.raises(nn.TrainingDiverged, match=r"toy loss nan at step 2; lr=0\.1"):
             nn.fit(params, loss_and_grads, [[(0, 0)]] * 3, lr=0.1, name="toy")
         np.testing.assert_allclose(params["w"], [-0.2], rtol=1e-6)  # two steps taken, not three
+
+
+class PerParameterAdam:
+    """The per-parameter Adam loop that the flat-buffer Adam replaced: the
+    byte-for-byte reference for its update order."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = params, lr, 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, grads):
+        nn.clip_global_norm(grads, nn.CLIP_NORM)
+        self.t += 1
+        b1, b2 = nn.BETA1, nn.BETA2
+        correction = np.sqrt(1 - b2**self.t) / (1 - b1**self.t)
+        for k, p in self.params.items():
+            g = grads[k]
+            self.m[k] = b1 * self.m[k] + (1 - b1) * g
+            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
+            p -= self.lr * correction * self.m[k] / (np.sqrt(self.v[k]) + nn.EPS)
+
+
+def annotator_shaped(rng, in_dim=14, hidden=8, layers=3):
+    """17 arrays named and shaped like a 3-layer annotator's parameters."""
+    params, d = {}, in_dim
+    for k in range(1, layers + 1):
+        params[f"eps{k}"] = rng.normal(size=1)
+        params[f"W1_{k}"] = rng.normal(size=(d, hidden))
+        params[f"b1_{k}"] = rng.normal(size=hidden)
+        params[f"W2_{k}"] = rng.normal(size=(hidden, hidden))
+        params[f"b2_{k}"] = rng.normal(size=hidden)
+        d = hidden
+    params["head_W"] = rng.normal(size=(in_dim + layers * hidden, 2))
+    params["head_b"] = rng.normal(size=2)
+    return params
+
+
+class TestFlatAdam:
+    def test_matches_the_per_parameter_loop_byte_for_byte(self):
+        rng = np.random.default_rng(11)
+        params = annotator_shaped(rng)
+        assert len(params) == 17
+        reference = {k: v.copy() for k, v in params.items()}
+        adam, ref = nn.Adam(params, lr=0.01), PerParameterAdam(reference, lr=0.01)
+        clipped = 0
+        for step in range(50):
+            scale = 10.0 ** rng.uniform(-3, 1)  # global norms from about 0.03 to 300
+            grads = {k: rng.normal(scale=scale, size=v.shape) for k, v in params.items()}
+            ref_grads = {k: g.copy() for k, g in grads.items()}
+            clipped += global_norm(grads) > nn.CLIP_NORM
+            adam.step(grads)
+            ref.step(ref_grads)
+            for k in reference:
+                assert params[k].tobytes() == reference[k].tobytes(), (step, k)
+                assert adam.m[k].tobytes() == ref.m[k].tobytes(), (step, k)
+                assert adam.v[k].tobytes() == ref.v[k].tobytes(), (step, k)
+                assert grads[k].tobytes() == ref_grads[k].tobytes(), (step, k)
+        assert 10 < clipped < 40

@@ -382,6 +382,19 @@ class TestArtifacts:
         cfg_json = json.loads((out / "config.json").read_text())
         assert cfg_json == fast_config().to_dict()
 
+    def test_manifest_keeps_first_min_and_last_loss(self, tmp_path):
+        corpus, _ = tiny_corpus()
+        out = tmp_path / "run"
+        result = run_pipeline(corpus, fast_config(annotator_mode="no_selfsup"), out_dir=out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        for entry, record in zip(manifest["iterations"], result.records):
+            trace = record.classifier_trace
+            assert entry["loss"]["classifier"] == {
+                "first": trace[0], "min": min(trace), "last": trace[-1]
+            }
+            assert entry["loss"]["finetune"]["last"] == record.finetune_trace[-1]
+            assert entry["loss"]["pretrain"] is None  # no_selfsup takes no pre-training step
+
     def test_pseudo_label_files_parse(self, tmp_path):
         corpus, _ = tiny_corpus()
         out = tmp_path / "run"
