@@ -82,10 +82,10 @@ def test_walks_sample_batch(benchmark, graph_setup):
 def test_classifier_step(benchmark, corpus):
     model = clf.ClassifierModel.create(corpus[:400], np.random.default_rng(2))
     adam = nn.Adam(model.params, lr=1e-3)
-    tokens = [seq.tokens for seq in corpus[:5]]
+    batch = [model.token_ids(seq.tokens) for seq in corpus[:5]]
 
     def step():
-        loss, grads = clf.loss_and_grads(model, tokens, [0, 1, 0, 1, 0])
+        loss, grads = clf.loss_and_grads(model, batch, [0, 1, 0, 1, 0])
         adam.step(grads)
         return loss
 

@@ -7,13 +7,12 @@ per-layer sums of node representations (layer 0 is the raw features) and a
 linear head maps that to 2 logits. Forward, backward and the optimizer are
 plain numpy; gradients are checked against finite differences in tests.
 
-The kernel is batched: one forward and one backward pass per minibatch. The
-node rows of a batch's subgraphs are stacked, each subgraph's own adjacency
-block is applied to its rows, and the readout is a segment sum per
-subgraph. The first MLP weight is applied before aggregating, which is the
-same map by linearity and keeps the |V|+2-wide one-hot features out of the
-message passing. A single subgraph is a batch of one; training, the
-tests and ``annotate`` all run this one pass.
+The kernel takes a list of subgraphs: one forward and one backward pass
+per batch. The node rows of the subgraphs are stacked, each subgraph's own
+adjacency block is applied to its rows, and the readout is a segment sum
+per subgraph. The first MLP weight is applied before aggregating, which is
+the same map by linearity and keeps the |V|+2-wide one-hot features out of
+the message passing. Training and ``annotate`` run this one pass.
 
 Training happens in two phases: self-supervised pre-training on random-walk
 subgraphs (predict the walk's start class), then fine-tuning on sequence
@@ -50,7 +49,6 @@ class AnnotatorModel:
     hidden: int
     in_dim: int
     vocab_hash: str
-    identity_mode: bool = False  # test harness: layers pass aggregation through
 
     @classmethod
     def create(
@@ -60,20 +58,17 @@ class AnnotatorModel:
         n_layers: int = 3,
         hidden: int = 64,
         vocab_hash: str = "",
-        identity_mode: bool = False,
     ) -> "AnnotatorModel":
         params: nn.Params = {}
         d = in_dim
         for k in range(1, n_layers + 1):
             params[f"eps{k}"] = np.zeros(1)
-            if not identity_mode:
-                params[f"W1_{k}"] = nn.xavier(rng, d, hidden)
-                params[f"b1_{k}"] = np.zeros(hidden)
-                params[f"W2_{k}"] = nn.xavier(rng, hidden, hidden)
-                params[f"b2_{k}"] = np.zeros(hidden)
-                d = hidden
-        readout_dim = in_dim * (n_layers + 1) if identity_mode else in_dim + n_layers * hidden
-        params["head_W"] = nn.xavier(rng, readout_dim, 2)
+            params[f"W1_{k}"] = nn.xavier(rng, d, hidden)
+            params[f"b1_{k}"] = np.zeros(hidden)
+            params[f"W2_{k}"] = nn.xavier(rng, hidden, hidden)
+            params[f"b2_{k}"] = np.zeros(hidden)
+            d = hidden
+        params["head_W"] = nn.xavier(rng, in_dim + n_layers * hidden, 2)
         params["head_b"] = np.zeros(2)
         return cls(
             params=params,
@@ -81,7 +76,6 @@ class AnnotatorModel:
             hidden=hidden,
             in_dim=in_dim,
             vocab_hash=vocab_hash,
-            identity_mode=identity_mode,
         )
 
     def save(self, path) -> None:
@@ -94,7 +88,6 @@ class AnnotatorModel:
                 "hidden": self.hidden,
                 "in_dim": self.in_dim,
                 "vocab_hash": self.vocab_hash,
-                "identity_mode": self.identity_mode,
             },
         )
 
@@ -109,7 +102,6 @@ class AnnotatorModel:
             hidden=meta["hidden"],
             in_dim=meta["in_dim"],
             vocab_hash=meta["vocab_hash"],
-            identity_mode=meta["identity_mode"],
         )
 
 
@@ -119,13 +111,6 @@ class PseudoLabel:
     label: int
     confidence: float
     flagged: bool = False  # fallback path was taken
-
-
-def _as_batch(sgs) -> tuple[list, bool]:
-    """(subgraphs, single): one subgraph is a batch of one."""
-    if isinstance(sgs, (list, tuple)):
-        return list(sgs), False
-    return [sgs], True
 
 
 @dataclass
@@ -141,7 +126,7 @@ class _Pass:
     starts: np.ndarray
     sizes: np.ndarray
     reps: list[np.ndarray]  # R^(0..K), stacked node rows
-    layers: list[tuple[np.ndarray, Optional[np.ndarray]]]  # per layer: H, tanh output T
+    layers: list[tuple[np.ndarray, np.ndarray]]  # per layer: H, tanh output T
     readout: np.ndarray  # (B, readout_dim)
     logits: np.ndarray  # (B, 2)
 
@@ -173,49 +158,39 @@ def _forward_pass(model: AnnotatorModel, sgs: list) -> _Pass:
     for k in range(1, model.n_layers + 1):
         # (A R + (1+eps) R) W1 == A (R W1) + (1+eps) (R W1): multiplying by W1
         # first keeps the |V|+2-wide features out of the aggregation
-        H = fp.reps[-1] if model.identity_mode else fp.reps[-1] @ p[f"W1_{k}"]
+        H = fp.reps[-1] @ p[f"W1_{k}"]
         Z = fp.aggregate(H)
         Z += (1.0 + p[f"eps{k}"][0]) * H
-        if model.identity_mode:
-            fp.layers.append((H, None))
-            fp.reps.append(Z)
-        else:
-            Z += p[f"b1_{k}"]
-            T = np.tanh(Z, out=Z)
-            fp.layers.append((H, T))
-            R = T @ p[f"W2_{k}"]
-            R += p[f"b2_{k}"]
-            fp.reps.append(R)
+        Z += p[f"b1_{k}"]
+        T = np.tanh(Z, out=Z)
+        fp.layers.append((H, T))
+        R = T @ p[f"W2_{k}"]
+        R += p[f"b2_{k}"]
+        fp.reps.append(R)
     fp.readout = np.concatenate([np.add.reduceat(R, starts, axis=0) for R in fp.reps], axis=1)
     fp.logits = fp.readout @ p["head_W"] + p["head_b"]
     return fp
 
 
-def node_representations(model: AnnotatorModel, sgs) -> list[np.ndarray]:
-    """Per-layer node representation matrices R^(0..K) of a subgraph, or of
-    a list of subgraphs with their node rows stacked in order. Exposed for
-    the layer-reduction tests."""
-    return _forward_pass(model, _as_batch(sgs)[0]).reps
+def node_representations(model: AnnotatorModel, sgs: list) -> list[np.ndarray]:
+    """Per-layer node representation matrices R^(0..K) of a list of
+    subgraphs, their node rows stacked in order. Exposed for the layer
+    oracle tests."""
+    return _forward_pass(model, sgs).reps
 
 
-def forward(model: AnnotatorModel, sgs) -> np.ndarray:
-    """2-class logits: (2,) for a subgraph, (B, 2) for a list of B subgraphs."""
-    batch, single = _as_batch(sgs)
-    logits = _forward_pass(model, batch).logits
-    return logits[0] if single else logits
+def forward(model: AnnotatorModel, sgs: list) -> np.ndarray:
+    """(B, 2) class logits for a list of B subgraphs."""
+    return _forward_pass(model, sgs).logits
 
 
-def loss_and_grads(model: AnnotatorModel, sgs, targets) -> tuple[float, nn.Params]:
-    """Mean cross-entropy loss and its analytic gradients over a batch.
-
-    ``sgs`` is a subgraph with an int target, or a list of subgraphs with
-    one target each.
-    """
-    batch, _ = _as_batch(sgs)
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    if targets.shape != (len(batch),):
-        raise AnnotatorError(f"{targets.size} targets for {len(batch)} subgraphs")
-    fp = _forward_pass(model, batch)
+def loss_and_grads(model: AnnotatorModel, sgs: list, targets) -> tuple[float, nn.Params]:
+    """Mean cross-entropy loss and its analytic gradients over a list of
+    subgraphs with one target each."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (len(sgs),):
+        raise AnnotatorError(f"{targets.size} targets for {len(sgs)} subgraphs")
+    fp = _forward_pass(model, sgs)
     p = model.params
     loss, dlogits = nn.cross_entropy(fp.logits, targets)
 
@@ -231,20 +206,18 @@ def loss_and_grads(model: AnnotatorModel, sgs, targets) -> tuple[float, nn.Param
         dZ = np.repeat(dreadout[:, offsets[k] : offsets[k + 1]], fp.sizes, axis=0)
         if dR is not None:
             dZ += dR
-        if not model.identity_mode:
-            grads[f"W2_{k}"] = T.T @ dZ
-            grads[f"b2_{k}"] = dZ.sum(axis=0)
-            dZ = dZ @ p[f"W2_{k}"].T
-            dZ *= 1.0 - T * T
-            grads[f"b1_{k}"] = dZ.sum(axis=0)
+        grads[f"W2_{k}"] = T.T @ dZ
+        grads[f"b2_{k}"] = dZ.sum(axis=0)
+        dZ = dZ @ p[f"W2_{k}"].T
+        dZ *= 1.0 - T * T
+        grads[f"b1_{k}"] = dZ.sum(axis=0)
         grads[f"eps{k}"] = np.array([np.vdot(dZ, H)])
         dH = fp.aggregate(dZ, transpose=True)
         dH += (1.0 + p[f"eps{k}"][0]) * dZ
         P = fp.reps.pop()  # R^(k-1)
-        if not model.identity_mode:
-            grads[f"W1_{k}"] = P.T @ dH
-            if k > 1:
-                dH = dH @ p[f"W1_{k}"].T
+        grads[f"W1_{k}"] = P.T @ dH
+        if k > 1:
+            dH = dH @ p[f"W1_{k}"].T
         dR = dH
     return loss, {name: grads[name] for name in p}
 

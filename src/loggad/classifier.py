@@ -7,16 +7,16 @@ transformer but keeps training and gradient checking tractable at desk
 scale. Any object with the same train/predict/save/load surface can be
 swapped in by the pipeline.
 
-The kernel is batched: the token ids of a minibatch are concatenated, mean
-pooling is one segment sum (``np.add.reduceat``), and the embedding
-gradient is one ``np.bincount`` over (row, column) slots, which adds each
-slot's values in the order ``np.add.at`` would. A single sequence is a
-batch of one. ``predict`` runs the same forward pass over fixed-size blocks
-of the corpus, and its dense layers use a row-by-row product so a
-sequence's prediction does not depend on which sequences share the call.
-``train`` looks up each sequence's token ids once and runs the minibatch
-Adam loop of ``nn.fit`` over them; Adam keeps the parameters in one flat
-buffer, and ``model.params`` holds named views of it.
+The kernel takes a batch as its sequences' ``token_ids`` concatenated plus
+one length per sequence: mean pooling is one segment sum
+(``np.add.reduceat``), and the embedding gradient is one ``np.bincount``
+over (row, column) slots, which adds each slot's values in the order
+``np.add.at`` would. ``train`` looks each sequence's ids up once and runs
+``nn.fit``'s minibatch Adam loop over lists of them; ``model.params`` holds
+named views of Adam's one flat buffer. ``predict`` looks a block of
+sequences up with one ``token_ids`` call and runs the same pass; its dense
+layers use a row-by-row product so a sequence's prediction does not depend
+on which sequences share the call.
 """
 
 from __future__ import annotations
@@ -103,14 +103,6 @@ class ClassifierModel:
         return model
 
 
-def _as_batch(tokens) -> tuple[list, bool]:
-    """(batch, single): one token list is a batch of one; a batch holds
-    token lists or, as ``train`` feeds it, id arrays from ``token_ids``."""
-    if len(tokens) and not isinstance(tokens[0], str):
-        return list(tokens), False
-    return [tokens], True
-
-
 def _rowwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b computed row by row in the same order whatever the row count.
 
@@ -133,14 +125,9 @@ class _Pass:
     logits: np.ndarray  # (B, 2)
 
 
-def _forward_pass(model: ClassifierModel, batch: list) -> _Pass:
-    lengths = np.array([len(x) for x in batch], dtype=np.int64)
-    if lengths.size == 0 or not lengths.all():
-        raise ClassifierError("cannot classify an empty batch or an empty token sequence")
-    if isinstance(batch[0], np.ndarray):
-        ids = np.concatenate(batch)
-    else:
-        ids = model.token_ids(chain.from_iterable(batch))
+def _forward_pass(model: ClassifierModel, ids: np.ndarray, lengths: np.ndarray) -> _Pass:
+    if not lengths.all():
+        raise ClassifierError("cannot classify an empty token sequence")
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     p = model.params
     x = np.add.reduceat(p["emb"][ids], starts, axis=0) / lengths[:, None]
@@ -148,24 +135,25 @@ def _forward_pass(model: ClassifierModel, batch: list) -> _Pass:
     return _Pass(ids, lengths, x, t, _rowwise(t, p["W2"]) + p["b2"])
 
 
-def forward(model: ClassifierModel, tokens) -> np.ndarray:
-    """2-class logits: (2,) for a token list, (B, 2) for a list of B token lists."""
-    batch, single = _as_batch(tokens)
-    logits = _forward_pass(model, batch).logits
-    return logits[0] if single else logits
+def _concatenated(batch: list) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, lengths) of a list of ``token_ids`` arrays, as ``_forward_pass`` takes them."""
+    if not batch:
+        raise ClassifierError("cannot classify an empty batch")
+    return np.concatenate(batch), np.array([len(ids) for ids in batch], dtype=np.int64)
 
 
-def loss_and_grads(model: ClassifierModel, tokens, target) -> tuple[float, nn.Params]:
-    """Mean cross-entropy loss and its analytic gradients over a batch.
+def forward(model: ClassifierModel, batch: list) -> np.ndarray:
+    """(B, 2) class logits for a list of B ``token_ids`` arrays."""
+    return _forward_pass(model, *_concatenated(batch)).logits
 
-    ``tokens`` is a token list with an int target, or a list of token lists
-    (or of ``token_ids`` arrays) with one target each.
-    """
-    batch, _ = _as_batch(tokens)
-    target = np.atleast_1d(np.asarray(target, dtype=np.int64))
+
+def loss_and_grads(model: ClassifierModel, batch: list, target) -> tuple[float, nn.Params]:
+    """Mean cross-entropy loss and its analytic gradients over a list of
+    ``token_ids`` arrays with one target each."""
+    target = np.asarray(target, dtype=np.int64)
     if target.shape != (len(batch),):
         raise ClassifierError(f"{target.size} targets for {len(batch)} sequences")
-    fp = _forward_pass(model, batch)
+    fp = _forward_pass(model, *_concatenated(batch))
     p = model.params
     loss, dlogits = nn.cross_entropy(fp.logits, target)
 
@@ -229,7 +217,9 @@ def predict(
     out = []
     for start in range(0, len(corpus), PREDICT_BLOCK):
         block = corpus[start : start + PREDICT_BLOCK]
-        probs = nn.softmax(forward(model, [seq.tokens for seq in block]))
+        ids = model.token_ids(chain.from_iterable(seq.tokens for seq in block))
+        lengths = np.array([len(seq.tokens) for seq in block], dtype=np.int64)
+        probs = nn.softmax(_forward_pass(model, ids, lengths).logits)
         labels = probs.argmax(axis=1)
         confidences = probs[np.arange(len(block)), labels]
         out.extend(zip([seq.id for seq in block], labels.tolist(), confidences.tolist()))

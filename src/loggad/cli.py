@@ -43,13 +43,17 @@ def cmd_ingest(args) -> int:
     if args.labels:
         _require_file(args.labels)
     records = ev.load_loghub_sample(path, args.kind, label_path=args.labels)
-    sequences = ev.sequences_from_records(records, args.kind, window_size=args.window)
+    if args.kind == "hdfs":
+        sequences, unkeyed = ingest.group_by_key(records, ev.HDFS_BLOCK_PATTERN)
+        skipped = f"{len(unkeyed)} line(s) with no blk_ block id" if unkeyed else ""
+    else:
+        sequences = ev.sequences_from_records(records, args.kind, window_size=args.window)
+        n_blank = -(-len(records) // args.window) - len(sequences)
+        skipped = f"{n_blank} window(s) whose lines normalize to no token" if n_blank else ""
     ingest.write_jsonl(sequences, args.out)
     print(f"wrote {len(sequences)} sequences to {args.out}")
-    if args.kind != "hdfs":
-        skipped = -(-len(records) // args.window) - len(sequences)
-        if skipped:
-            print(f"skipped {skipped} window(s) whose lines normalize to no token")
+    if skipped:
+        print(f"skipped {skipped}")
     return EXIT_OK
 
 
@@ -164,6 +168,13 @@ def cmd_report(args) -> int:
             summary = "-" if c is None else f"{c['first']:.4g} / {c['min']:.4g} / {c['last']:.4g}"
             curves.append(f"{phase} {summary}")
         print(f"  iteration {entry['iteration']}: " + "; ".join(curves))
+    print("fallback pseudo-labels and keyword warnings per iteration")
+    for entry in manifest["iterations"]:
+        if "flagged" not in entry:  # written before the manifest kept them
+            continue
+        warnings = "; ".join(entry["keyword_warnings"]) or "none"
+        print(f"  iteration {entry['iteration']}: flagged={entry['flagged']}; "
+              f"keyword warnings: {warnings}")
     if manifest.get("stop_reason"):
         print(f"stopped early: {manifest['stop_reason']}")
     return EXIT_OK

@@ -402,8 +402,9 @@ def load_loghub_sample(
     label file. HDFS labels come from a block-id label file
     (``blk_...,Anomaly|Normal`` or ``blk_...,0|1`` per line). Plain,
     Hadoop and OpenStack lines carry no inline labels; an optional label
-    file maps line_no (from 0) to 0/1, and a label naming a blank line or
-    a line past the end of the log raises EvalError naming its file line.
+    file maps line_no (from 0) to 0/1. A label naming a block that never
+    occurs, a blank line or a line past the end of the log raises
+    EvalError naming its file line.
     """
     if dataset_kind not in DATASET_KINDS:
         raise EvalError(f"unknown dataset kind {dataset_kind!r}; expected one of {DATASET_KINDS}")
@@ -414,6 +415,7 @@ def load_loghub_sample(
 
     records = []
     n_lines = 0
+    labelled_blocks = set()  # block labels some record took
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line_no, raw in enumerate(fh):
             n_lines += 1
@@ -433,8 +435,9 @@ def load_loghub_sample(
                 text = rest
             elif dataset_kind == "hdfs" and block_labels:
                 m = re.search(HDFS_BLOCK_PATTERN, text)
-                if m:
-                    gold = block_labels.get(m.group(0), gold)
+                if m and m.group(0) in block_labels:
+                    gold = block_labels[m.group(0)][0]
+                    labelled_blocks.add(m.group(0))
             records.append(RawLogRecord(line_no=line_no, text=text, gold_label=gold))
     if not records:
         raise EvalError(f"no records in {path}")
@@ -444,6 +447,11 @@ def load_loghub_sample(
             else f"is past the end of {path}, which has {n_lines} lines numbered from 0"
         )
         raise EvalError(f"{label_path}, line {file_line}: labelled log line {line_no} {where}")
+    for block, (_, file_line) in block_labels.items():
+        if block not in labelled_blocks:
+            raise EvalError(
+                f"{label_path}, line {file_line}: labelled block {block} does not occur in {path}"
+            )
     return records
 
 
@@ -451,10 +459,10 @@ _BLOCK_TAGS = {"anomaly": 1, "1": 1, "normal": 0, "0": 0}  # lower-cased
 _LINE_TAGS = {"1": 1, "0": 0}
 
 
-def _load_block_labels(path) -> dict[str, int]:
-    """Block id -> label from ``blk_...,tag`` lines, the tag Anomaly,
-    Normal, 1 or 0 in any case; any other tag raises EvalError naming the
-    file line (from 1)."""
+def _load_block_labels(path) -> dict[str, tuple[int, int]]:
+    """Block id -> (label, label-file line from 1) from ``blk_...,tag``
+    lines, the tag Anomaly, Normal, 1 or 0 in any case; any other tag
+    raises EvalError naming the file line."""
     labels = {}
     with open(path, "r", encoding="utf-8") as fh:
         for file_line, line in enumerate(fh, 1):
@@ -468,7 +476,7 @@ def _load_block_labels(path) -> dict[str, int]:
                     f"{path}, line {file_line}: label must be Anomaly, Normal, 1 or 0, "
                     f"got {tag.strip()!r}"
                 )
-            labels[block.strip()] = label
+            labels[block.strip()] = (label, file_line)
     return labels
 
 

@@ -30,20 +30,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, target) -> tuple[float, np.ndarray]:
-    """Mean loss over a batch and its gradient with respect to the logits.
-
-    ``logits`` is (B, 2) with B class targets, or one (2,) vector with an
-    int target, which is a batch of one. The gradient has the logits' shape.
-    """
-    p = softmax(np.atleast_2d(logits))
+def cross_entropy(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean loss over a batch of (B, 2) logits with B class targets, and its
+    (B, 2) gradient with respect to the logits."""
+    p = softmax(logits)
     rows = np.arange(p.shape[0])
-    target = np.atleast_1d(target)
     loss = -float(np.mean(np.log(np.maximum(p[rows, target], 1e-300))))
     dlogits = p
     dlogits[rows, target] -= 1.0
     dlogits /= p.shape[0]
-    return loss, dlogits.reshape(np.shape(logits))
+    return loss, dlogits
 
 
 def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

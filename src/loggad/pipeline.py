@@ -110,6 +110,12 @@ class PipelineConfig:
         ):
             if getattr(self, name) < 1:
                 raise PipelineError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("annotator_lr", "finetune_lr", "classifier_lr"):
+            lr = getattr(self, name)
+            if not (math.isfinite(lr) and lr > 0):
+                raise PipelineError(f"{name} must be finite and > 0, got {lr}")
+        if not 0.0 <= self.finetune_margin < 1.0:
+            raise PipelineError(f"finetune_margin must be in [0, 1), got {self.finetune_margin}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -141,6 +147,7 @@ class IterationRecord:
     keywords: KeywordSet
     gamma: float
     pseudo_counts: dict[int, int]
+    flagged: int  # pseudo-labels from a fallback path
     pretrain_trace: list[float]
     finetune_trace: list[float]
     classifier_trace: list[float]
@@ -313,6 +320,7 @@ def run_iteration(
         keywords=new_keywords,
         gamma=gamma,
         pseudo_counts=counts,
+        flagged=sum(pl.flagged for pl in pseudo),
         pretrain_trace=pretrain_trace,
         finetune_trace=finetune_trace,
         classifier_trace=classifier_trace,
@@ -445,6 +453,8 @@ def _write_manifest(out: Path, config: PipelineConfig, corpus, result: PipelineR
                 "iteration": r.iteration,
                 "gamma": r.gamma,
                 "pseudo_counts": {str(k): v for k, v in r.pseudo_counts.items()},
+                "flagged": r.flagged,
+                "keyword_warnings": r.keywords.warnings,
                 "seconds": r.seconds,
                 "keywords_path": f"keywords_{r.iteration:03d}.json",
                 "pseudo_labels_path": f"pseudo_labels_{r.iteration:03d}.jsonl",

@@ -160,9 +160,9 @@ class TestGradientCorrectness:
             for arr in model.params.values():
                 arr += rng.normal(0, 0.05, size=arr.shape)
             target = int(rng.integers(0, 2))
-            _, analytic = ann.loss_and_grads(model, sg, target)
+            _, analytic = ann.loss_and_grads(model, [sg], [target])
             numeric = numeric_grads(
-                lambda: ann.loss_and_grads(model, sg, target)[0], model.params
+                lambda: ann.loss_and_grads(model, [sg], [target])[0], model.params
             )
             assert_grads_close(analytic, numeric)
 
@@ -174,9 +174,10 @@ class TestGradientCorrectness:
             model = clf.ClassifierModel.create(corpus, rng, embed_dim=4, hidden=3)
             tokens = [vocab[int(rng.integers(6))] for _ in range(int(rng.integers(1, 8)))]
             target = int(rng.integers(0, 2))
-            _, analytic = clf.loss_and_grads(model, tokens, target)
+            ids = [model.token_ids(tokens)]
+            _, analytic = clf.loss_and_grads(model, ids, [target])
             numeric = numeric_grads(
-                lambda: clf.loss_and_grads(model, tokens, target)[0], model.params
+                lambda: clf.loss_and_grads(model, ids, [target])[0], model.params
             )
             assert_grads_close(analytic, numeric)
 
@@ -302,32 +303,42 @@ class TestGinInvariants:
             model = AnnotatorModel.create(
                 g.features.shape[1], rng, n_layers=3, hidden=8, vocab_hash=g.vocab_hash
             )
-            base = forward(model, sg)
+            base = forward(model, [sg])
             perm = rng.permutation(sg.n_vertices)
             view = PermutedView(
                 features=sg.features[perm],
                 adjacency=sg.adjacency[np.ix_(perm, perm)],
             )
-            assert np.max(np.abs(forward(model, view) - base)) <= 1e-9
+            assert np.max(np.abs(forward(model, [view]) - base)) <= 1e-9
 
-    def test_identity_mlp_isolated_node_reduction(self):
-        # with identity layers and no edges, every layer reproduces the
-        # input features and the logits reduce to an affine map of the
-        # stacked feature sums
+    def test_isolated_node_reduction(self):
+        # with no edges no node gets a message: every layer's row of a node
+        # equals that node run alone and the MLP of its own (1 + eps)-scaled
+        # row, and the logits reduce to the head applied to the concatenated
+        # per-layer sums
         rng = np.random.default_rng(404)
         g = EventGraph(
             words=["a", "b", "c"], class_flags=np.ones((3, 2)), frequency=frequency_matrix(3, {})
         )
         sg = Subgraph(graph=g, vertex_ids=np.array([0, 1, 2]))
         model = AnnotatorModel.create(
-            g.features.shape[1], rng, n_layers=3, hidden=8,
-            vocab_hash=g.vocab_hash, identity_mode=True,
+            g.features.shape[1], rng, n_layers=3, hidden=8, vocab_hash=g.vocab_hash
         )
-        for layer in node_representations(model, sg):
-            assert np.array_equal(layer, sg.features)
-        readout = np.tile(sg.features.sum(axis=0), 4)
-        expected = readout @ model.params["head_W"] + model.params["head_b"]
-        assert np.allclose(forward(model, sg), expected, atol=1e-12)
+        p = model.params
+        for arr in p.values():
+            arr += rng.normal(0, 0.05, size=arr.shape)
+        reps = node_representations(model, [sg])
+        for k in range(1, 4):
+            Z = (1.0 + p[f"eps{k}"][0]) * reps[k - 1] @ p[f"W1_{k}"] + p[f"b1_{k}"]
+            mlp = np.tanh(Z) @ p[f"W2_{k}"] + p[f"b2_{k}"]
+            assert np.allclose(reps[k], mlp, rtol=0, atol=1e-12)
+        for v in range(3):
+            alone = node_representations(model, [Subgraph(graph=g, vertex_ids=np.array([v]))])
+            for R, R_alone in zip(reps, alone):
+                assert np.allclose(R[v], R_alone[0], rtol=0, atol=1e-12)
+        readout = np.concatenate([R.sum(axis=0) for R in reps])
+        expected = readout @ p["head_W"] + p["head_b"]
+        assert np.allclose(forward(model, [sg])[0], expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

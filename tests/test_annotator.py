@@ -63,7 +63,7 @@ def random_subgraph(rng, g):
 
 
 class TestGradients:
-    def numeric_grads(self, model, sg, target, h=1e-6):
+    def numeric_grads(self, model, sgs, targets, h=1e-6):
         out = {}
         for name, arr in model.params.items():
             num = np.zeros_like(arr)
@@ -71,9 +71,9 @@ class TestGradients:
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up, _ = loss_and_grads(model, sg, target)
+                up, _ = loss_and_grads(model, sgs, targets)
                 flat[idx] = orig - h
-                down, _ = loss_and_grads(model, sg, target)
+                down, _ = loss_and_grads(model, sgs, targets)
                 flat[idx] = orig
                 num.ravel()[idx] = (up - down) / (2 * h)
             out[name] = num
@@ -94,8 +94,8 @@ class TestGradients:
             for k, v in model.params.items():
                 v += rng.normal(0, 0.05, size=v.shape)
             target = int(rng.integers(0, 2))
-            _, analytic = loss_and_grads(model, sg, target)
-            numeric = self.numeric_grads(model, sg, target)
+            _, analytic = loss_and_grads(model, [sg], [target])
+            numeric = self.numeric_grads(model, [sg], [target])
             for name in model.params:
                 a, n = analytic[name], numeric[name]
                 rel = np.linalg.norm(a - n) / (np.linalg.norm(a) + np.linalg.norm(n) + 1e-12)
@@ -107,10 +107,10 @@ class TestGradients:
         g = random_graph(rng)
         sg = Subgraph(graph=g, vertex_ids=np.arange(g.n_vertices))
         model = AnnotatorModel.create(g.features.shape[1], rng, 2, 8, g.vocab_hash)
-        logits = forward(model, sg)
+        logits = forward(model, [sg])
         for target in (0, 1):
-            loss, _ = loss_and_grads(model, sg, target)
-            expected, _ = nn.cross_entropy(logits, target)
+            loss, _ = loss_and_grads(model, [sg], [target])
+            expected, _ = nn.cross_entropy(logits, np.array([target]))
             assert loss == pytest.approx(expected)
 
 
@@ -118,10 +118,9 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(a) + np.linalg.norm(b), 1e-300)
 
 
-def perturbed_model(rng, g, identity_mode=False):
+def perturbed_model(rng, g):
     model = AnnotatorModel.create(
-        g.features.shape[1], rng, n_layers=3, hidden=6,
-        vocab_hash=g.vocab_hash, identity_mode=identity_mode,
+        g.features.shape[1], rng, n_layers=3, hidden=6, vocab_hash=g.vocab_hash
     )
     # move off the zero init so eps/bias gradients are generic
     for v in model.params.values():
@@ -139,15 +138,14 @@ def mixed_size_batch(rng, g):
 
 
 class TestBatchedKernel:
-    @pytest.mark.parametrize("identity_mode", [False, True])
-    def test_batch_is_mean_of_single_examples(self, identity_mode):
+    def test_batch_is_mean_of_single_examples(self):
         rng = np.random.default_rng(21)
         g = random_graph(rng, n=7, p_edge=0.6)
         sgs = mixed_size_batch(rng, g)
         targets = [0, 1, 1, 0, 1]
-        model = perturbed_model(rng, g, identity_mode)
+        model = perturbed_model(rng, g)
         loss, grads = loss_and_grads(model, sgs, targets)
-        singles = [loss_and_grads(model, sg, t) for sg, t in zip(sgs, targets)]
+        singles = [loss_and_grads(model, [sg], [t]) for sg, t in zip(sgs, targets)]
         assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12)
         assert list(grads) == list(model.params)
         for name in model.params:
@@ -173,7 +171,7 @@ class TestBatchedKernel:
         batched = forward(model, sgs)
         assert batched.shape == (len(sgs), 2)
         for row, sg in zip(batched, sgs):
-            assert np.allclose(row, forward(model, sg), rtol=0, atol=1e-12)
+            assert np.allclose(row, forward(model, [sg])[0], rtol=0, atol=1e-12)
 
     def test_target_count_must_match_batch(self):
         rng = np.random.default_rng(24)
@@ -183,6 +181,8 @@ class TestBatchedKernel:
             loss_and_grads(model, mixed_size_batch(rng, g)[:3], [0, 1])
         with pytest.raises(AnnotatorError):
             loss_and_grads(model, [], [])
+        with pytest.raises(AnnotatorError):
+            forward(model, [])
 
 
 @dataclass
@@ -203,50 +203,62 @@ class TestPermutationInvariance:
             g = random_graph(rng, n=int(rng.integers(2, 8)))
             sg = random_subgraph(rng, g)
             model = AnnotatorModel.create(g.features.shape[1], rng, 3, 8, g.vocab_hash)
-            base = forward(model, sg)
+            base = forward(model, [sg])
             perm = rng.permutation(sg.n_vertices)
             view = PermutedView(
                 features=sg.features[perm],
                 adjacency=sg.adjacency[np.ix_(perm, perm)],
             )
-            assert np.max(np.abs(forward(model, view) - base)) <= 1e-9
+            assert np.max(np.abs(forward(model, [view]) - base)) <= 1e-9
 
 
-class TestIdentityMode:
+class TestLayerOracles:
     def test_isolated_node_reduction(self):
-        # identity layers with zero eps on an edgeless subgraph reduce to
-        # the head applied to K+1 stacked copies of the feature sum.
+        # an edgeless subgraph passes no messages: every layer's row of a
+        # node equals that node run alone and the MLP of its own
+        # (1 + eps)-scaled row, and the logits are the head applied to the
+        # concatenated per-layer sums
         rng = np.random.default_rng(5)
         g = EventGraph(
             words=["a", "b"], class_flags=np.ones((2, 2)), frequency=frequency_matrix(2, {})
         )
         sg = Subgraph(graph=g, vertex_ids=np.array([0, 1]))
         model = AnnotatorModel.create(
-            g.features.shape[1], rng, n_layers=3, hidden=8,
-            vocab_hash=g.vocab_hash, identity_mode=True,
+            g.features.shape[1], rng, n_layers=3, hidden=8, vocab_hash=g.vocab_hash
         )
-        reps = node_representations(model, sg)
-        for R in reps:
-            assert np.array_equal(R, sg.features)
-        readout = np.tile(sg.features.sum(axis=0), 4)
-        expected = readout @ model.params["head_W"] + model.params["head_b"]
-        assert np.allclose(forward(model, sg), expected, atol=1e-12)
+        p = model.params
+        for v in p.values():
+            v += rng.normal(0, 0.05, size=v.shape)
+        reps = node_representations(model, [sg])
+        for k in range(1, 4):
+            Z = (1.0 + p[f"eps{k}"][0]) * reps[k - 1] @ p[f"W1_{k}"] + p[f"b1_{k}"]
+            mlp = np.tanh(Z) @ p[f"W2_{k}"] + p[f"b2_{k}"]
+            assert np.allclose(reps[k], mlp, rtol=0, atol=1e-12)
+        for v in range(2):
+            alone = node_representations(model, [Subgraph(graph=g, vertex_ids=np.array([v]))])
+            for R, R_alone in zip(reps, alone):
+                assert np.allclose(R[v], R_alone[0], rtol=0, atol=1e-12)
+        readout = np.concatenate([R.sum(axis=0) for R in reps])
+        expected = readout @ p["head_W"] + p["head_b"]
+        assert np.allclose(forward(model, [sg])[0], expected, atol=1e-12)
 
-    def test_matrix_power_oracle_with_edges(self):
-        # with identity layers, layer k equals (A + (1+eps)I)^k X exactly.
+    def test_layer_recompute_with_edges(self):
+        # layer k equals tanh((A + (1+eps_k) I) R^(k-1) W1_k + b1_k) W2_k + b2_k
         rng = np.random.default_rng(6)
         g = random_graph(rng, n=5, p_edge=0.7)
         sg = Subgraph(graph=g, vertex_ids=np.arange(5))
-        model = AnnotatorModel.create(
-            g.features.shape[1], rng, 2, 4, g.vocab_hash, identity_mode=True
-        )
-        model.params["eps1"][0] = 0.3
-        model.params["eps2"][0] = -0.2
-        reps = node_representations(model, sg)
-        M1 = sg.adjacency + 1.3 * np.eye(5)
-        M2 = sg.adjacency + 0.8 * np.eye(5)
-        assert np.allclose(reps[1], M1 @ sg.features, atol=1e-12)
-        assert np.allclose(reps[2], M2 @ M1 @ sg.features, atol=1e-12)
+        model = AnnotatorModel.create(g.features.shape[1], rng, 2, 4, g.vocab_hash)
+        p = model.params
+        for v in p.values():
+            v += rng.normal(0, 0.05, size=v.shape)
+        p["eps1"][0] = 0.3
+        p["eps2"][0] = -0.2
+        reps = node_representations(model, [sg])
+        R = sg.features
+        for k, eps in ((1, 0.3), (2, -0.2)):
+            M = sg.adjacency + (1.0 + eps) * np.eye(5)
+            R = np.tanh(M @ R @ p[f"W1_{k}"] + p[f"b1_{k}"]) @ p[f"W2_{k}"] + p[f"b2_{k}"]
+            assert np.allclose(reps[k], R, atol=1e-12)
 
 
 class TestForwardOracle:
@@ -274,21 +286,21 @@ class TestForwardOracle:
             reps.append(T @ p[f"W2_{k}"] + p[f"b2_{k}"])
         readout = np.concatenate([R.sum(axis=0) for R in reps])
         expected = readout @ p["head_W"] + p["head_b"]
-        assert np.allclose(forward(model, sg), expected, atol=1e-10)
+        assert np.allclose(forward(model, [sg])[0], expected, atol=1e-10)
 
     def test_empty_subgraph_rejected(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng)
         model = AnnotatorModel.create(g.features.shape[1], rng, 2, 4, g.vocab_hash)
         with pytest.raises(AnnotatorError):
-            forward(model, Subgraph(graph=g, vertex_ids=np.array([], dtype=np.int64)))
+            forward(model, [Subgraph(graph=g, vertex_ids=np.array([], dtype=np.int64))])
 
     def test_feature_width_mismatch_rejected(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng, n=4)
         model = AnnotatorModel.create(99, rng, 2, 4)
         with pytest.raises(AnnotatorError):
-            forward(model, Subgraph(graph=g, vertex_ids=np.array([0])))
+            forward(model, [Subgraph(graph=g, vertex_ids=np.array([0]))])
 
 
 class TestVote:
@@ -429,9 +441,9 @@ class TestTraining:
             return model
 
         amb_sg = induce_sequence_subgraph(g, ambiguous)
-        without = nn.softmax(forward(fitted(None), amb_sg))[ANOMALY]
+        without = nn.softmax(forward(fitted(None), [amb_sg]))[0, ANOMALY]
         with_prior = fitted({"amb": ANOMALY})
-        assert nn.softmax(forward(with_prior, amb_sg))[ANOMALY] > max(without, 0.5)
+        assert nn.softmax(forward(with_prior, [amb_sg]))[0, ANOMALY] > max(without, 0.5)
         labels = {pl.sequence_id: pl.label
                   for pl in ann.annotate(with_prior, corpus + [ambiguous], g, ks)}
         assert labels["amb"] == ANOMALY
@@ -556,7 +568,7 @@ class TestAnnotate:
             if sg.is_empty:
                 assert pl.flagged and pl.confidence == 0.5
                 continue
-            probs = nn.softmax(forward(model, sg))
+            probs = nn.softmax(forward(model, [sg])[0])
             assert not pl.flagged
             assert pl.label == int(np.argmax(probs))
             assert pl.confidence == pytest.approx(probs.max(), abs=1e-12)
@@ -577,7 +589,20 @@ class TestCheckpoint:
         from loggad.graph import induce_sequence_subgraph
 
         sg = induce_sequence_subgraph(g, corpus[0])
-        assert np.array_equal(forward(back, sg), forward(model, sg))
+        assert np.array_equal(forward(back, [sg]), forward(model, [sg]))
+
+    def test_checkpoint_with_identity_mode_key_loads(self, tmp_path):
+        # annotator checkpoints once carried an "identity_mode": false
+        # metadata key; such a file still loads and scores the same
+        corpus, ks, g, model = trainable_setup()
+        path = tmp_path / "annotator.npz"
+        nn.save_checkpoint(path, model.params, {
+            "kind": "annotator", "n_layers": model.n_layers, "hidden": model.hidden,
+            "in_dim": model.in_dim, "vocab_hash": model.vocab_hash, "identity_mode": False,
+        })
+        back = AnnotatorModel.load(path)
+        sgs = [induce_sequence_subgraph(g, seq) for seq in corpus]
+        assert np.array_equal(forward(back, sgs), forward(model, sgs))
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "other.npz"

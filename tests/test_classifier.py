@@ -34,7 +34,7 @@ def separable_corpus(n=40, seed=0):
 
 
 class TestGradients:
-    def numeric_grads(self, model, tokens, target, h=1e-6):
+    def numeric_grads(self, model, batch, targets, h=1e-6):
         out = {}
         for name, arr in model.params.items():
             num = np.zeros_like(arr)
@@ -42,9 +42,9 @@ class TestGradients:
             for idx in range(flat.size):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up, _ = clf.loss_and_grads(model, tokens, target)
+                up, _ = clf.loss_and_grads(model, batch, targets)
                 flat[idx] = orig - h
-                down, _ = clf.loss_and_grads(model, tokens, target)
+                down, _ = clf.loss_and_grads(model, batch, targets)
                 flat[idx] = orig
                 num.ravel()[idx] = (up - down) / (2 * h)
             out[name] = num
@@ -57,9 +57,9 @@ class TestGradients:
             tokens = [vocab[int(rng.integers(6))] for _ in range(int(rng.integers(1, 8)))]
             corpus = [LogSequence(id="s", tokens=vocab)]
             model = ClassifierModel.create(corpus, rng, embed_dim=4, hidden=3)
-            target = int(rng.integers(0, 2))
-            _, analytic = clf.loss_and_grads(model, tokens, target)
-            numeric = self.numeric_grads(model, tokens, target)
+            batch, targets = [model.token_ids(tokens)], [int(rng.integers(0, 2))]
+            _, analytic = clf.loss_and_grads(model, batch, targets)
+            numeric = self.numeric_grads(model, batch, targets)
             for name in model.params:
                 a, n = analytic[name], numeric[name]
                 rel = np.linalg.norm(a - n) / (np.linalg.norm(a) + np.linalg.norm(n) + 1e-12)
@@ -71,13 +71,17 @@ class TestGradients:
         rng = np.random.default_rng(1)
         corpus = [LogSequence(id="s", tokens=["a", "b"])]
         model = ClassifierModel.create(corpus, rng, embed_dim=3, hidden=2)
-        _, g_single = clf.loss_and_grads(model, ["a"], 1)
-        _, g_double = clf.loss_and_grads(model, ["a", "a"], 1)
+        _, g_single = clf.loss_and_grads(model, [model.token_ids(["a"])], [1])
+        _, g_double = clf.loss_and_grads(model, [model.token_ids(["a", "a"])], [1])
         assert np.allclose(g_single["emb"], g_double["emb"], atol=1e-12)
 
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(a) + np.linalg.norm(b), 1e-300)
+
+
+def encode(model, token_lists):
+    return [model.token_ids(tokens) for tokens in token_lists]
 
 
 def perturbed_model(rng, vocab, embed_dim=4, hidden=3):
@@ -95,8 +99,9 @@ class TestBatchedKernel:
 
     def test_batch_is_mean_of_single_examples(self):
         model = perturbed_model(np.random.default_rng(31), self.VOCAB)
-        loss, grads = clf.loss_and_grads(model, self.BATCH, self.TARGETS)
-        singles = [clf.loss_and_grads(model, t, y) for t, y in zip(self.BATCH, self.TARGETS)]
+        batch = encode(model, self.BATCH)
+        loss, grads = clf.loss_and_grads(model, batch, self.TARGETS)
+        singles = [clf.loss_and_grads(model, [ids], [y]) for ids, y in zip(batch, self.TARGETS)]
         assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-12)
         assert list(grads) == list(model.params)
         for name in model.params:
@@ -105,7 +110,7 @@ class TestBatchedKernel:
 
     def test_batch_of_three_matches_central_differences(self):
         model = perturbed_model(np.random.default_rng(32), self.VOCAB)
-        batch, targets = self.BATCH[1:4], self.TARGETS[1:4]
+        batch, targets = encode(model, self.BATCH[1:4]), self.TARGETS[1:4]
         _, analytic = clf.loss_and_grads(model, batch, targets)
         numeric = TestGradients().numeric_grads(model, batch, targets)
         for name in model.params:
@@ -117,14 +122,14 @@ class TestBatchedKernel:
         model = perturbed_model(np.random.default_rng(34), self.VOCAB)
         rng = np.random.default_rng(35)
         for _ in range(20):
-            batch = [
+            batch = encode(model, [
                 [self.VOCAB[i] for i in rng.integers(0, 3, size=rng.integers(1, 12))]
                 for _ in range(rng.integers(1, 8))
-            ]
+            ])
             targets = rng.integers(0, 2, size=len(batch)).tolist()
             _, grads = clf.loss_and_grads(model, batch, targets)
             p = model.params
-            fp = clf._forward_pass(model, batch)
+            fp = clf._forward_pass(model, np.concatenate(batch), np.array([len(b) for b in batch]))
             _, dlogits = nn.cross_entropy(fp.logits, np.array(targets))
             du = (dlogits @ p["W2"].T) * (1.0 - fp.t * fp.t)
             dx = (du @ p["W1"].T) / fp.lengths[:, None]
@@ -132,21 +137,17 @@ class TestBatchedKernel:
             np.add.at(reference, fp.ids, np.repeat(dx, fp.lengths, axis=0))
             assert grads["emb"].tobytes() == reference.tobytes()
 
-    def test_id_arrays_give_the_token_lists_bytes(self):
-        model = perturbed_model(np.random.default_rng(36), self.VOCAB)
-        loss, grads = clf.loss_and_grads(model, self.BATCH, self.TARGETS)
-        ids_loss, ids_grads = clf.loss_and_grads(
-            model, [model.token_ids(t) for t in self.BATCH], self.TARGETS
-        )
-        assert ids_loss == loss
-        assert all(ids_grads[k].tobytes() == grads[k].tobytes() for k in grads)
-
     def test_target_count_and_empty_sequences_rejected(self):
         model = perturbed_model(np.random.default_rng(33), self.VOCAB)
         with pytest.raises(ClassifierError):
-            clf.loss_and_grads(model, self.BATCH, [0, 1])
+            clf.loss_and_grads(model, encode(model, self.BATCH), [0, 1])
         with pytest.raises(ClassifierError):
-            clf.forward(model, [["w0"], []])
+            clf.forward(model, encode(model, [["w0"], []]))
+        # an empty batch is the model's error, not numpy's from np.concatenate([])
+        with pytest.raises(ClassifierError):
+            clf.forward(model, [])
+        with pytest.raises(ClassifierError):
+            clf.loss_and_grads(model, [], [])
 
 
 class TestForward:
@@ -155,15 +156,18 @@ class TestForward:
         corpus, gold = separable_corpus()
         model = ClassifierModel.create(corpus, np.random.default_rng(0))
         losses = [
-            clf.loss_and_grads(model, s.tokens, gold[s.id])[0] for s in corpus
+            clf.loss_and_grads(model, [model.token_ids(s.tokens)], [gold[s.id]])[0]
+            for s in corpus
         ]
         assert np.mean(losses) == pytest.approx(math.log(2), abs=0.05)
 
     def test_token_order_invariance(self):
         corpus = seqs(["a", "b", "c", "a"])
         model = ClassifierModel.create(corpus, np.random.default_rng(0))
-        base = clf.forward(model, ["a", "b", "c", "a"])
-        assert np.allclose(clf.forward(model, ["a", "a", "c", "b"]), base, atol=1e-12)
+        base = clf.forward(model, encode(model, [["a", "b", "c", "a"]]))
+        assert np.allclose(
+            clf.forward(model, encode(model, [["a", "a", "c", "b"]])), base, atol=1e-12
+        )
 
     def test_unknown_tokens_map_to_unk_row(self):
         corpus = seqs(["a"])
@@ -211,9 +215,9 @@ class TestTrain:
         with pytest.raises(nn.TrainingDiverged):
             clf.train(model, corpus, labels_for(corpus, lambda s: 0), epochs=1)
 
-    def test_training_on_encoded_ids_matches_a_token_list_loop(self):
-        # reference: the token lists themselves batched through nn.fit, as
-        # train fed them before it looked each sequence's ids up once
+    def test_training_matches_a_plain_fit_loop(self):
+        # reference: every in-vocabulary sequence's ids batched through
+        # nn.fit with the same rng; the all-UNK sequence is left out
         corpus, gold = separable_corpus()
         corpus.append(LogSequence(id="unk", tokens=["never", "seen"]))  # filtered out
         gold["unk"] = 1
@@ -221,7 +225,7 @@ class TestTrain:
         model = ClassifierModel.create(corpus[:-1], np.random.default_rng(7))
         reference = ClassifierModel.create(corpus[:-1], np.random.default_rng(7))
         trace = clf.train(model, corpus, pseudo, epochs=3, rng=np.random.default_rng(8))
-        examples = [(s.tokens, gold[s.id]) for s in corpus[:-1]]
+        examples = [(reference.token_ids(s.tokens), gold[s.id]) for s in corpus[:-1]]
         batches = nn.minibatches(examples, 3, 5, np.random.default_rng(8))
         ref_trace = nn.fit(
             reference.params, partial(clf.loss_and_grads, reference), batches, 1e-3, "reference"
@@ -277,7 +281,7 @@ class TestPredict:
         corpus, _ = separable_corpus(n=70)
         model = ClassifierModel.create(corpus, np.random.default_rng(36))
         for (sid, label, conf), seq in zip(clf.predict(model, corpus), corpus):
-            probs = nn.softmax(clf.forward(model, seq.tokens))
+            probs = nn.softmax(clf.forward(model, [model.token_ids(seq.tokens)])[0])
             assert sid == seq.id and label == int(np.argmax(probs))
             assert conf == pytest.approx(probs.max(), abs=1e-12)
 

@@ -101,6 +101,35 @@ class TestIngest:
         assert ids == [f"win_{i:06d}" for i in range(1000) if i != 76]
         assert "skipped 1 window(s)" in capsys.readouterr().out
 
+    HDFS_LOG = (
+        "081109 INFO dfs.DataNode: Receiving block blk_1 src\n"
+        "081109 INFO dfs.DataNode: heartbeat\n"
+        "081109 INFO dfs.DataNode: Receiving block blk_2 src\n"
+    )
+
+    def test_hdfs_lines_without_a_block_id_are_counted(self, tmp_path, capsys):
+        raw = tmp_path / "hdfs.log"
+        raw.write_text(self.HDFS_LOG)
+        labels = tmp_path / "blocks.csv"
+        labels.write_text("BlockId,Label\nblk_1,Normal\nblk_2,Anomaly\n")
+        out = tmp_path / "seqs.jsonl"
+        assert run(["ingest", "--input", str(raw), "--kind", "hdfs", "--labels", str(labels),
+                    "--out", str(out)]) == EXIT_OK
+        assert [(s.id, s.gold_label) for s in ingest.read_jsonl(out)] == [("blk_1", 0), ("blk_2", 1)]
+        assert "skipped 1 line(s) with no blk_ block id" in capsys.readouterr().out
+
+    def test_hdfs_label_naming_an_absent_block_exits_1(self, tmp_path, capsys):
+        raw = tmp_path / "hdfs.log"
+        raw.write_text(self.HDFS_LOG)
+        labels = tmp_path / "blocks.csv"
+        labels.write_text("BlockId,Label\nblk_1,Normal\nblk_2,Anomaly\nblk_3,Anomaly\n")
+        out = tmp_path / "seqs.jsonl"
+        assert run(["ingest", "--input", str(raw), "--kind", "hdfs", "--labels", str(labels),
+                    "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"{labels}, line 4: labelled block blk_3 does not occur in {raw}" in err
+        assert not out.exists()
+
     def test_empty_plain_file_exits_1(self, tmp_path, capsys):
         raw = tmp_path / "raw.log"
         raw.write_text("\n\n")
@@ -149,6 +178,14 @@ class TestTrainDetectReportEval:
             assert line == (
                 f"  iteration {entry['iteration']}: pretrain -; finetune -; "
                 f"classifier {c['first']:.4g} / {c['min']:.4g} / {c['last']:.4g}"
+            )
+        flag_lines = out.split("fallback pseudo-labels and keyword warnings per iteration")[1]
+        for entry, line in zip(iterations, flag_lines.splitlines()[1 : 1 + len(iterations)],
+                               strict=True):
+            warnings = "; ".join(entry["keyword_warnings"]) or "none"
+            assert line == (
+                f"  iteration {entry['iteration']}: flagged={entry['flagged']}; "
+                f"keyword warnings: {warnings}"
             )
 
         # detect on the training corpus
@@ -277,6 +314,13 @@ class TestTrainDetectReportEval:
         code = run(train_args(synth_corpus, tmp_path / "run", ["--config", str(ini)]))
         assert code == EXIT_ERROR
         assert f"{field} must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_zero_classifier_lr_exits_1_naming_the_field(self, tmp_path, synth_corpus, capsys):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[pipeline]\nclassifier_lr = 0\n")
+        code = run(train_args(synth_corpus, tmp_path / "run", ["--config", str(ini)]))
+        assert code == EXIT_ERROR
+        assert "classifier_lr must be finite and > 0, got 0.0" in capsys.readouterr().err
 
     def test_diverging_run_exits_1_and_writes_failure(self, tmp_path, synth_corpus, capsys):
         ini = tmp_path / "cfg.ini"

@@ -1,6 +1,7 @@
 """Pipeline loop: bootstrap, iteration mechanics, artifacts and the gold firewall."""
 
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -57,6 +58,17 @@ class TestConfig:
     def test_bad_mode_rejected(self):
         with pytest.raises(PipelineError):
             PipelineConfig(annotator_mode="votes")
+
+    @pytest.mark.parametrize("name, value", [
+        ("annotator_lr", -1.0), ("finetune_lr", float("nan")), ("classifier_lr", 0.0),
+        ("classifier_lr", float("inf")), ("finetune_margin", 1.5), ("finetune_margin", 1.0),
+        ("finetune_margin", -0.1),
+    ])
+    def test_untrainable_rate_or_margin_rejected(self, name, value):
+        # counting mode never fine-tunes, yet the config is still rejected
+        rule = "in [0, 1)" if name == "finetune_margin" else "finite and > 0"
+        with pytest.raises(PipelineError, match=re.escape(f"{name} must be {rule}, got {value}")):
+            PipelineConfig(annotator_mode="counting", **{name: value})
 
     def test_dict_round_trip(self):
         cfg = fast_config()
@@ -394,6 +406,19 @@ class TestArtifacts:
             }
             assert entry["loss"]["finetune"]["last"] == record.finetune_trace[-1]
             assert entry["loss"]["pretrain"] is None  # no_selfsup takes no pre-training step
+
+    def test_manifest_keeps_flagged_counts_and_keyword_warnings(self, tmp_path):
+        # Z=1000 is more than either class has candidates, so every
+        # iteration's keyword set carries warnings
+        corpus, _ = tiny_corpus()
+        out = tmp_path / "run"
+        result = run_pipeline(corpus, fast_config(keywords_per_class=1000), out_dir=out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        for entry, record in zip(manifest["iterations"], result.records, strict=True):
+            rows = (out / entry["pseudo_labels_path"]).read_text().splitlines()
+            assert entry["flagged"] == sum(json.loads(row)["flagged"] for row in rows)
+            assert entry["keyword_warnings"] == record.keywords.warnings
+            assert len(entry["keyword_warnings"]) == 2
 
     def test_pseudo_label_files_parse(self, tmp_path):
         corpus, _ = tiny_corpus()
