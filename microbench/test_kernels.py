@@ -1,7 +1,7 @@
 """Micro-benchmarks of the two trainable models' batched kernels, one
 classifier training epoch (the per-step cost of ``nn.fit``), walk
-sampling, the event graph and keyword kernels, the synthetic generator,
-and the JSONL read and ``loggad detect`` paths.
+sampling, the event graph and keyword kernels, the seed-word bootstrap,
+the synthetic generator, and the JSONL read and ``loggad detect`` paths.
 
 Run from the root of a checkout:
 
@@ -26,8 +26,8 @@ from loggad import cli
 from loggad import evaluation as ev
 from loggad import graph as eg
 from loggad import ingest, nn, walks
-from loggad.keywords import extract_top
-from loggad.pipeline import strip_gold
+from loggad.keywords import ANOMALY, extract_top
+from loggad.pipeline import PipelineConfig, bootstrap, strip_gold
 
 SEED_KEYWORDS = {"fault0_trap", "fault1_trap"}
 
@@ -110,6 +110,12 @@ def test_classifier_predict_1000(benchmark, corpus):
 def test_keywords_extract_top(benchmark, classified):
     keywords = benchmark(extract_top, classified, 100, 4)
     assert keywords.anomaly and keywords.normal
+
+
+def test_bootstrap(benchmark, corpus):
+    config = PipelineConfig(seed_keywords=sorted(SEED_KEYWORDS))
+    keywords, _ = benchmark(bootstrap, corpus[:400], config)
+    assert sorted(keywords.class_words(ANOMALY)) == sorted(SEED_KEYWORDS)
 
 
 def test_graph_build(benchmark, classified):

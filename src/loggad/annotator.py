@@ -19,7 +19,8 @@ subgraphs (predict the walk's start class), then fine-tuning on sequence
 subgraphs against decisive keyword-count votes, with the previous
 iteration's classifier labels standing in for indecisive ones. Both phases
 run through ``nn.fit``; they differ only in the batches they feed it. The
-trained model then pseudo-labels every sequence.
+trained model then pseudo-labels every sequence. ``vote_counts`` is the one
+keyword vote that fine-tuning and the counting-only ``vote_annotate`` read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -241,47 +242,39 @@ def pretrain(
     return nn.fit(model.params, partial(loss_and_grads, model), batches, lr, "annotator")
 
 
-def vote_counts(corpus: list[LogSequence], keywords: KeywordSet) -> list[tuple[int, int]]:
-    """(Normal, Anomaly) keyword hits per sequence, counted with multiplicity.
+class Vote(NamedTuple):
+    """(Normal, Anomaly) keyword hits of one sequence and the vote they cast."""
 
-    A word on both class lists counts once for each class.
+    n: int
+    a: int
+
+    @property
+    def label(self) -> Optional[int]:
+        """Argmax class, ties toward Normal; None (abstain) without any keyword."""
+        if self.n + self.a == 0:
+            return None
+        return ANOMALY if self.a > self.n else NORMAL
+
+    @property
+    def margin(self) -> float:
+        """Decisiveness of the vote: |A - N| / (A + N), 0 on abstain."""
+        return abs(self.a - self.n) / (self.a + self.n) if self.n + self.a else 0.0
+
+    @property
+    def confidence(self) -> float:
+        """The winning class's share of keyword hits, 0.5 on abstain."""
+        return max(self.n, self.a) / (self.n + self.a) if self.n + self.a else 0.5
+
+
+def vote_counts(corpus: list[LogSequence], keywords: KeywordSet) -> list[Vote]:
+    """The keyword term-frequency vote of every sequence, hits counted with
+    multiplicity. A word on both class lists counts once for each class.
     """
     normal, anomaly = set(keywords.class_words(NORMAL)), set(keywords.class_words(ANOMALY))
     return [
-        (sum(1 for t in seq.tokens if t in normal), sum(1 for t in seq.tokens if t in anomaly))
+        Vote(sum(1 for t in seq.tokens if t in normal), sum(1 for t in seq.tokens if t in anomaly))
         for seq in corpus
     ]
-
-
-def _vote(n: int, a: int) -> Optional[int]:
-    if n + a == 0:
-        return None
-    return ANOMALY if a > n else NORMAL
-
-
-def _margin(n: int, a: int) -> float:
-    return abs(a - n) / (a + n) if n + a else 0.0
-
-
-def vote_label(seq: LogSequence, keywords: KeywordSet) -> Optional[int]:
-    """Keyword term-frequency vote: argmax over class keyword lists.
-
-    Returns None (abstain) when the sequence contains no keyword at all;
-    ties break toward Normal.
-    """
-    return _vote(*vote_counts([seq], keywords)[0])
-
-
-def vote_margin(seq: LogSequence, keywords: KeywordSet) -> float:
-    """Decisiveness of the keyword vote: |A - N| / (A + N), 0 on abstain."""
-    return _margin(*vote_counts([seq], keywords)[0])
-
-
-def _vote_pseudo_label(sequence_id: str, n: int, a: int) -> PseudoLabel:
-    label = _vote(n, a)
-    if label is None:
-        return PseudoLabel(sequence_id, NORMAL, 0.5, flagged=True)
-    return PseudoLabel(sequence_id, label, (a if label == ANOMALY else n) / (n + a))
 
 
 def vote_annotate(corpus: list[LogSequence], keywords: KeywordSet) -> list[PseudoLabel]:
@@ -291,8 +284,8 @@ def vote_annotate(corpus: list[LogSequence], keywords: KeywordSet) -> list[Pseud
     fall back to Normal at 0.5 and are flagged.
     """
     return [
-        _vote_pseudo_label(seq.id, n, a)
-        for seq, (n, a) in zip(corpus, vote_counts(corpus, keywords))
+        PseudoLabel(seq.id, NORMAL if v.label is None else v.label, v.confidence, v.label is None)
+        for seq, v in zip(corpus, vote_counts(corpus, keywords))
     ]
 
 
@@ -324,14 +317,10 @@ def finetune(
         raise AnnotatorError(f"margin must be in [0, 1), got {margin}")
     prior = prior or {}
     pairs = []
-    for seq, (n, a) in zip(corpus, vote_counts(corpus, keywords)):
-        label = _vote(n, a)
-        if label is None:
+    for seq, vote in zip(corpus, vote_counts(corpus, keywords)):
+        label = vote.label if vote.margin >= margin else prior.get(seq.id)
+        if vote.label is None or label is None:
             continue
-        if _margin(n, a) < margin:
-            if seq.id not in prior:
-                continue
-            label = prior[seq.id]
         sg = induce_sequence_subgraph(graph, seq)
         if sg.is_empty:
             continue
@@ -353,14 +342,13 @@ def annotate(
     model: AnnotatorModel,
     corpus: list[LogSequence],
     graph: EventGraph,
-    keywords: KeywordSet,
 ) -> list[PseudoLabel]:
     """Pseudo-label every sequence.
 
     Subgraphs go through the batched forward pass a block of sequences at
-    a time. Sequences with empty subgraphs fall back to the keyword vote;
-    if that abstains too, they get Normal with confidence 0.5. Both
-    fallbacks are flagged.
+    a time. A sequence whose subgraph is empty holds no graph vertex, so
+    on the corpus the graph was built from its keyword vote abstains too;
+    it gets Normal with confidence 0.5 and is flagged.
     """
     _check_graph_match(model, graph)
     labels = []
@@ -371,10 +359,7 @@ def annotate(
         probs = iter(nn.softmax(forward(model, scored)) if scored else ())
         for seq, sg in zip(block, sgs):
             if sg.is_empty:
-                vote = vote_label(seq, keywords)
-                labels.append(
-                    PseudoLabel(seq.id, NORMAL if vote is None else vote, 0.5, flagged=True)
-                )
+                labels.append(PseudoLabel(seq.id, NORMAL, 0.5, flagged=True))
                 continue
             row = next(probs)
             label = int(np.argmax(row))

@@ -185,7 +185,11 @@ def cmd_eval(args) -> int:
     gold_path = _require_file(args.gold)
     predictions = ev.read_predictions(pred_path)
     gold = {}
+    ids = set()
     for seq in ingest.read_jsonl(gold_path):
+        if seq.id in ids:
+            raise ev.EvalError(f"{gold_path}: sequence id {seq.id!r} is repeated")
+        ids.add(seq.id)
         if seq.gold_label is not None:
             gold[seq.id] = seq.gold_label
     predictions = {sid: lbl for sid, lbl in predictions.items() if sid in gold}

@@ -404,7 +404,8 @@ def load_loghub_sample(
     Hadoop and OpenStack lines carry no inline labels; an optional label
     file maps line_no (from 0) to 0/1. A label naming a block that never
     occurs, a blank line or a line past the end of the log raises
-    EvalError naming its file line.
+    EvalError naming its file line; so does a block or line labelled twice,
+    naming both file lines.
     """
     if dataset_kind not in DATASET_KINDS:
         raise EvalError(f"unknown dataset kind {dataset_kind!r}; expected one of {DATASET_KINDS}")
@@ -476,7 +477,7 @@ def _load_block_labels(path) -> dict[str, tuple[int, int]]:
                     f"{path}, line {file_line}: label must be Anomaly, Normal, 1 or 0, "
                     f"got {tag.strip()!r}"
                 )
-            labels[block.strip()] = (label, file_line)
+            _put_label(labels, "block", block.strip(), label, path, file_line)
     return labels
 
 
@@ -495,8 +496,18 @@ def _load_line_labels(path) -> dict[int, tuple[int, int]]:
                     f"{path}, line {file_line}: expected 'line_no,label' with label 0 or 1, "
                     f"got {line!r}"
                 )
-            labels[int(line_no)] = (_LINE_TAGS[tag], file_line)
+            _put_label(labels, "log line", int(line_no), _LINE_TAGS[tag], path, file_line)
     return labels
+
+
+def _put_label(labels: dict, what: str, key, label: int, path, file_line: int) -> None:
+    """Record a key's (label, label-file line); a key labelled twice raises
+    EvalError naming both lines."""
+    if key in labels:
+        raise EvalError(
+            f"{path}, line {file_line}: {what} {key} is already labelled on line {labels[key][1]}"
+        )
+    labels[key] = (label, file_line)
 
 
 def sequences_from_records(

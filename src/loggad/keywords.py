@@ -3,6 +3,8 @@
 Scoring is term frequency within a predicted class times a smoothed
 inverse document frequency raised to an exponent: the exponent sharpens
 the preference for rare, class-specific words over merely frequent ones.
+``score`` counts document and term frequencies of both classes in one
+pass over the corpus; keyword selection and the bootstrap both read it.
 Drift between two iterations' keyword sets is the fraction of current
 keywords that were not present in the previous set; it is the pipeline's
 convergence signal.
@@ -72,43 +74,30 @@ class KeywordSet:
         )
 
 
-def _document_frequencies(corpus: ClassifiedCorpus) -> Counter:
-    df: Counter = Counter()
-    for seq, _ in corpus:
-        df.update(set(seq.tokens))
-    return df
-
-
-def _term_frequencies(corpus: ClassifiedCorpus, class_t: int) -> Counter:
-    """Raw token occurrence counts across the class-t sequences."""
-    tf: Counter = Counter()
-    n_in_class = 0
-    for seq, lbl in corpus:
-        if lbl == class_t:
-            n_in_class += 1
-            tf.update(seq.tokens)
-    if n_in_class == 0:
-        raise KeywordError(f"corpus has no sequence in class {class_t}")
-    return tf
-
-
-def _idf(df: int, n_docs: int) -> float:
-    return math.log((n_docs + 1) / (df + 1)) + 1.0
-
-
-def score(word: str, class_t: int, corpus: ClassifiedCorpus, M: int) -> float:
-    """TF-IDF^M score of a word for one predicted class.
+def score(corpus: ClassifiedCorpus, M: int) -> dict[int, dict[str, tuple[float, int]]]:
+    """TF-IDF^M score and TF of every word, per predicted class, in one pass.
 
     TF is the raw occurrence count across class-t sequences; IDF is
-    ln((N+1)/(df+1)) + 1 over the whole corpus. Returns 0 iff the word is
-    absent from class t.
+    ln((N+1)/(df+1)) + 1 over the whole corpus. A word absent from class t
+    has no entry there: its score is 0. A class without any sequence
+    raises KeywordError.
     """
     if M < 1:
         raise KeywordError("IDF exponent M must be >= 1")
-    tf = _term_frequencies(corpus, class_t)[word]
-    if tf == 0:
-        return 0.0
-    return tf * _idf(_document_frequencies(corpus)[word], len(corpus)) ** M
+    df: Counter = Counter()
+    tf = {NORMAL: Counter(), ANOMALY: Counter()}
+    for seq, lbl in corpus:
+        df.update(set(seq.tokens))
+        tf[lbl].update(seq.tokens)
+    for class_t, counts in tf.items():
+        if not counts:  # a LogSequence holds at least one token
+            raise KeywordError(f"corpus has no sequence in class {class_t}")
+    n_docs = len(corpus)
+    idf_m = {w: (math.log((n_docs + 1) / (d + 1)) + 1.0) ** M for w, d in df.items()}
+    return {
+        class_t: {w: (count * idf_m[w], count) for w, count in counts.items()}
+        for class_t, counts in tf.items()
+    }
 
 
 def extract_top(
@@ -118,7 +107,7 @@ def extract_top(
     stopwords: Optional[frozenset[str] | set[str]] = None,
     iteration_index: int = 0,
 ) -> KeywordSet:
-    """Select the top-Z keywords per class by TF-IDF^M.
+    """Select the top-Z keywords per class by TF-IDF^M (see ``score``).
 
     Ties break by higher TF, then lexicographically. The digit sentinel
     and stopwords never qualify. A class with fewer than Z candidates
@@ -126,21 +115,15 @@ def extract_top(
     """
     if Z < 1:
         raise KeywordError("Z must be >= 1")
-    if M < 1:
-        raise KeywordError("IDF exponent M must be >= 1")
     stop = DEFAULT_STOPWORDS if stopwords is None else frozenset(stopwords)
-    n_docs = len(corpus)
-    df = _document_frequencies(corpus)
     lists: dict[int, list[tuple[str, float]]] = {}
     warnings: list[str] = []
-    for class_t in (NORMAL, ANOMALY):
-        scored = []
-        for word, count in _term_frequencies(corpus, class_t).items():
-            if word == NUM_SENTINEL or word in stop:
-                continue
-            s = count * _idf(df[word], n_docs) ** M
-            scored.append((word, s, count))
-        scored.sort(key=lambda item: (-item[1], -item[2], item[0]))
+    for class_t, scores in score(corpus, M).items():
+        scored = sorted(
+            ((w, s, count) for w, (s, count) in scores.items()
+             if w != NUM_SENTINEL and w not in stop),
+            key=lambda item: (-item[1], -item[2], item[0]),
+        )
         if len(scored) < Z:
             warnings.append(
                 f"class {class_t}: only {len(scored)} candidate keywords (< Z={Z})"

@@ -202,8 +202,9 @@ def bootstrap(
         raise PipelineError(f"no sequence contains any seed keyword {seeds}")
     if n_hits == len(corpus):
         raise PipelineError("every sequence contains a seed keyword; cannot split")
+    seed_scores = score(classified, config.idf_exponent)[ANOMALY]
     anomaly_list = sorted(
-        ((w, score(w, ANOMALY, classified, config.idf_exponent)) for w in seed_set),
+        ((w, seed_scores.get(w, (0.0, 0))[0]) for w in seed_set),
         key=lambda item: (-item[1], item[0]),
     )
     # Initial normal list kept as short as the seed list: symmetric list
@@ -280,7 +281,7 @@ def run_iteration(
             margin=config.finetune_margin,
             prior=prior,
         )
-        pseudo = ann.annotate(annotator_model, corpus, g, keywords)
+        pseudo = ann.annotate(annotator_model, corpus, g)
 
     classifier = clf.ClassifierModel.create(
         corpus,
@@ -340,9 +341,15 @@ def run_pipeline(
     single class, the run stops there and returns the previous iteration's
     classifier, predictions and keywords, with the reason in
     ``stop_reason`` and in the manifest. In the first iteration that, like
-    any other iteration failure, raises ``PipelineError``.
+    any other iteration failure, raises ``PipelineError``; so does a
+    sequence id that occurs twice, before any training.
     """
     corpus = strip_gold(corpus)
+    ids: set[str] = set()
+    for seq in corpus:
+        if seq.id in ids:
+            raise PipelineError(f"sequence id {seq.id!r} is repeated; ids must be unique")
+        ids.add(seq.id)
     stopwords = load_stopwords(config.stopwords_path) if config.stopwords_path else None
     keywords, _ = bootstrap(corpus, config, stopwords)
     records: list[IterationRecord] = []

@@ -279,7 +279,7 @@ class TestEquationOracles:
             a = sum(s.tokens.count(w) for w in ("panic", "trap", "abort"))
             n = sum(s.tokens.count(w) for w in ("open", "read", "close"))
             expected = None if a + n == 0 else (ANOMALY if a > n else NORMAL)
-            assert ann.vote_label(s, ks) == expected
+            assert ann.vote_counts([s], ks)[0].label == expected
 
 
 # ---------------------------------------------------------------------------

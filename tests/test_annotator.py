@@ -16,7 +16,6 @@ from loggad.annotator import (
     loss_and_grads,
     node_representations,
     vote_annotate,
-    vote_label,
 )
 from loggad.graph import (
     EventGraph,
@@ -27,6 +26,7 @@ from loggad.graph import (
 )
 from loggad.ingest import LogSequence
 from loggad.keywords import ANOMALY, NORMAL, KeywordSet
+from loggad.pipeline import PipelineConfig
 from loggad.walks import WalkLengthModel, WalkSampler
 
 
@@ -36,6 +36,10 @@ def kwset(normal, anomaly):
 
 def seqs(*token_lists):
     return [LogSequence(id=f"s{i}", tokens=list(t)) for i, t in enumerate(token_lists)]
+
+
+def vote(seq, keywords):
+    return ann.vote_counts([seq], keywords)[0]
 
 
 def random_graph(rng, n=6, p_edge=0.5):
@@ -308,23 +312,23 @@ class TestVote:
 
     def test_anomaly_majority(self):
         s = LogSequence(id="x", tokens=["fail", "fail", "ok"])
-        assert vote_label(s, self.KS) == ANOMALY
+        assert vote(s, self.KS).label == ANOMALY
 
     def test_normal_majority(self):
         s = LogSequence(id="x", tokens=["ok", "up", "fail"])
-        assert vote_label(s, self.KS) == NORMAL
+        assert vote(s, self.KS).label == NORMAL
 
     def test_tie_breaks_normal(self):
         s = LogSequence(id="x", tokens=["ok", "fail"])
-        assert vote_label(s, self.KS) == NORMAL
+        assert vote(s, self.KS).label == NORMAL
 
     def test_multiplicity_counts(self):
         # one distinct anomaly word repeated outvotes two distinct normals
         s = LogSequence(id="x", tokens=["trap", "trap", "trap", "ok", "up"])
-        assert vote_label(s, self.KS) == ANOMALY
+        assert vote(s, self.KS).label == ANOMALY
 
     def test_no_keywords_abstains(self):
-        assert vote_label(LogSequence(id="x", tokens=["zzz"]), self.KS) is None
+        assert vote(LogSequence(id="x", tokens=["zzz"]), self.KS).label is None
 
     def test_margin_oracle_values(self):
         # margin = |A - N| / (A + N) over keyword token counts
@@ -336,10 +340,10 @@ class TestVote:
         ]
         for tokens, expected in cases:
             s = LogSequence(id="x", tokens=tokens)
-            assert ann.vote_margin(s, self.KS) == pytest.approx(expected)
+            assert vote(s, self.KS).margin == pytest.approx(expected)
 
     def test_margin_zero_on_abstain(self):
-        assert ann.vote_margin(LogSequence(id="x", tokens=["zzz"]), self.KS) == 0.0
+        assert vote(LogSequence(id="x", tokens=["zzz"]), self.KS).margin == 0.0
 
     def test_counts_match_a_counter_oracle(self):
         # words on both lists count for both classes; repeats count each time
@@ -387,8 +391,8 @@ class TestTraining:
         trace = ann.finetune(model, corpus, g, ks, epochs=60, lr=1e-2,
                              rng=np.random.default_rng(1))
         assert trace[-1] < trace[0]
-        labels = ann.annotate(model, corpus, g, ks)
-        votes = {s.id: vote_label(s, ks) for s in corpus}
+        labels = ann.annotate(model, corpus, g)
+        votes = {s.id: vote(s, ks).label for s in corpus}
         assert all(pl.label == votes[pl.sequence_id] for pl in labels)
 
     def test_finetune_zero_epochs_is_noop(self):
@@ -410,17 +414,28 @@ class TestTraining:
         # ambiguous sequence by generalization, not by its noisy vote
         corpus, ks, g, _ = trainable_setup()
         ambiguous = LogSequence(id="amb", tokens=["fail", "ok", "up", "trap", "up"])
-        assert vote_label(ambiguous, ks) == NORMAL  # 2 vs 3, margin 0.2
-        assert ann.vote_margin(ambiguous, ks) == pytest.approx(0.2)
+        assert vote(ambiguous, ks).label == NORMAL  # 2 vs 3, margin 0.2
+        assert vote(ambiguous, ks).margin == pytest.approx(0.2)
         model = AnnotatorModel.create(
             g.features.shape[1], np.random.default_rng(0), 2, 8, g.vocab_hash
         )
         ann.finetune(model, corpus + [ambiguous], g, ks, epochs=60, lr=1e-2,
                      rng=np.random.default_rng(1), margin=0.5)
         labels = {pl.sequence_id: pl.label
-                  for pl in ann.annotate(model, corpus, g, ks)}
-        votes = {s.id: vote_label(s, ks) for s in corpus}
+                  for pl in ann.annotate(model, corpus, g)}
+        votes = {s.id: vote(s, ks).label for s in corpus}
         assert labels == votes  # decisive cluster is fitted as before
+
+    def test_three_to_two_vote_passes_the_default_gate(self):
+        # |3 - 2| / 5 is exactly 0.2, while 2 * (3 / 5) - 1 falls just below
+        corpus, ks, g, model = trainable_setup()
+        three_two = LogSequence(id="32", tokens=["fail", "ok", "trap", "up", "fail"])
+        v = vote(three_two, ks)
+        assert (v.n, v.a) == (2, 3)
+        assert v.margin == 0.2
+        trace = ann.finetune(model, [three_two], g, ks, epochs=1,
+                             margin=PipelineConfig().finetune_margin)
+        assert len(trace) == 1
 
     def test_finetune_prior_labels_indecisive_votes(self):
         # an indecisive vote is never the target, but a prior label is: the
@@ -429,8 +444,8 @@ class TestTraining:
         # its vote out
         corpus, ks, g, _ = trainable_setup()
         ambiguous = LogSequence(id="amb", tokens=["fail", "ok", "up", "trap", "up"])
-        assert vote_label(ambiguous, ks) == NORMAL
-        assert ann.vote_margin(ambiguous, ks) < 0.5
+        assert vote(ambiguous, ks).label == NORMAL
+        assert vote(ambiguous, ks).margin < 0.5
 
         def fitted(prior):
             model = AnnotatorModel.create(
@@ -445,9 +460,9 @@ class TestTraining:
         with_prior = fitted({"amb": ANOMALY})
         assert nn.softmax(forward(with_prior, [amb_sg]))[0, ANOMALY] > max(without, 0.5)
         labels = {pl.sequence_id: pl.label
-                  for pl in ann.annotate(with_prior, corpus + [ambiguous], g, ks)}
+                  for pl in ann.annotate(with_prior, corpus + [ambiguous], g)}
         assert labels["amb"] == ANOMALY
-        votes = {s.id: vote_label(s, ks) for s in corpus}
+        votes = {s.id: vote(s, ks).label for s in corpus}
         assert {k: v for k, v in labels.items() if k != "amb"} == votes
 
     def test_finetune_prior_does_not_override_decisive_votes(self):
@@ -455,7 +470,7 @@ class TestTraining:
         # vote as the target, and a prior without indecisive sequences
         # leaves training exactly as it was
         corpus, ks, g, _ = trainable_setup()
-        flipped = {s.id: 1 - vote_label(s, ks) for s in corpus}
+        flipped = {s.id: 1 - vote(s, ks).label for s in corpus}
         params = []
         for prior in (None, flipped):
             model = AnnotatorModel.create(
@@ -523,31 +538,52 @@ class TestTraining:
 
 
 class TestAnnotate:
-    def test_empty_subgraph_falls_back_to_vote(self):
+    def test_empty_subgraph_labelled_normal_and_flagged(self):
         corpus, ks, g, model = trainable_setup()
-        # token "trap" is a keyword but absent from graph? build a sequence
-        # with no keyword at all instead: falls through vote to Normal.
         odd = [LogSequence(id="odd", tokens=["nothing", "here"])]
-        labels = ann.annotate(model, odd, g, ks)
+        labels = ann.annotate(model, odd, g)
         assert labels[0].label == NORMAL and labels[0].flagged
         assert labels[0].confidence == 0.5
+
+    def test_empty_subgraph_iff_vote_abstains(self):
+        # the graph's vertices are the keywords occurring in the corpus it is
+        # built from, so on that corpus a sequence's subgraph is empty exactly
+        # when its vote abstains: annotate needs no vote fallback
+        rng = np.random.default_rng(11)
+        words = [f"w{i}" for i in range(10)]
+
+        def draw(low, high):
+            return [str(w) for w in rng.choice(words, size=rng.integers(low, high))]
+
+        checked = shared = 0
+        for _ in range(200):
+            ks = kwset(sorted(set(draw(1, 5))), sorted(set(draw(1, 5))))
+            corpus = seqs(*(draw(1, 6) for _ in range(rng.integers(1, 12))))
+            if not ks.all_words().intersection(t for s in corpus for t in s.tokens):
+                continue  # no graph to build
+            g = build(ks, corpus, 3)
+            for seq, v in zip(corpus, ann.vote_counts(corpus, ks)):
+                assert induce_sequence_subgraph(g, seq).is_empty == (v.label is None)
+            checked += 1
+            shared += bool(set(ks.class_words(NORMAL)) & set(ks.class_words(ANOMALY)))
+        assert checked > 100 and shared > 50
 
     def test_vocab_hash_mismatch_rejected(self):
         corpus, ks, g, model = trainable_setup()
         other = build(kwset(["ok"], ["fail"]), corpus, 10)
         assert other.vocab_hash != g.vocab_hash
         with pytest.raises(AnnotatorError):
-            ann.annotate(model, corpus, other, ks)
+            ann.annotate(model, corpus, other)
 
     def test_labels_cover_corpus_in_order(self):
         corpus, ks, g, model = trainable_setup()
-        labels = ann.annotate(model, corpus, g, ks)
+        labels = ann.annotate(model, corpus, g)
         assert [pl.sequence_id for pl in labels] == [s.id for s in corpus]
         assert all(pl.label in (0, 1) and 0.0 < pl.confidence <= 1.0 for pl in labels)
 
     def test_labels_are_argmax_of_single_forward(self):
         # more sequences than one annotate block, with keyword-free ones
-        # (flagged vote fallbacks) interleaved so blocks mix both paths
+        # (flagged, Normal at 0.5) interleaved so blocks mix both paths
         corpus, ks, g, model = trainable_setup()
         rng = np.random.default_rng(4)
         for v in model.params.values():
@@ -560,7 +596,7 @@ class TestAnnotate:
             )
             for i in range(3 * ann.ANNOTATE_BLOCK + 5)
         ]
-        labels = ann.annotate(model, many, g, ks)
+        labels = ann.annotate(model, many, g)
         assert [pl.sequence_id for pl in labels] == [s.id for s in many]
         scored = 0
         for seq, pl in zip(many, labels):

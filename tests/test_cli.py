@@ -130,6 +130,18 @@ class TestIngest:
         assert f"{labels}, line 4: labelled block blk_3 does not occur in {raw}" in err
         assert not out.exists()
 
+    def test_plain_line_labelled_twice_exits_1(self, tmp_path, capsys):
+        raw = tmp_path / "raw.log"
+        raw.write_text("alpha beta\ngamma delta\nepsilon zeta\n")
+        labels = tmp_path / "lines.csv"
+        labels.write_text("2,1\n2,0\n")
+        out = tmp_path / "seqs.jsonl"
+        assert run(["ingest", "--input", str(raw), "--kind", "plain", "--labels", str(labels),
+                    "--window", "1", "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert f"{labels}, line 2: log line 2 is already labelled on line 1" in err
+        assert not out.exists()
+
     def test_empty_plain_file_exits_1(self, tmp_path, capsys):
         raw = tmp_path / "raw.log"
         raw.write_text("\n\n")
@@ -421,6 +433,24 @@ class TestDetectStreaming:
         preds.write_text('{"id": "a", "label": 0, "confidence": 1.0}\n')
         assert run(["eval", "--predictions", str(preds), "--gold", str(path)]) == EXIT_ERROR
         assert "line 2:" in capsys.readouterr().err
+
+    def test_train_and_eval_reject_a_repeated_id(self, tmp_path, capsys):
+        # two logs ingested separately both number their windows from win_000000
+        path = tmp_path / "seqs.jsonl"
+        ingest.write_jsonl(
+            [ingest.LogSequence(id=sid, tokens=[word, "x"], gold_label=int(word == "fault0_trap"))
+             for sid, word in (("a", "fault0_trap"), ("b", "ok"), ("a", "ok"), ("c", "up"))],
+            path,
+        )
+        assert run(train_args(path, tmp_path / "run")) == EXIT_ERROR
+        assert "sequence id 'a' is repeated" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(
+            json.dumps({"id": sid, "label": 1}) + "\n" for sid in ("a", "b", "c")
+        ))
+        assert run(["eval", "--predictions", str(preds), "--gold", str(path)]) == EXIT_ERROR
+        assert f"{path}: sequence id 'a' is repeated" in capsys.readouterr().err
 
     def test_train_rejects_a_non_string_token_naming_its_line(
         self, tmp_path, synth_corpus, capsys

@@ -69,30 +69,36 @@ TOY = [
 ]
 
 
+def score_of(word, class_t, corpus, m):
+    return score(corpus, m)[class_t].get(word, (0.0, 0))[0]
+
+
 class TestScore:
     def test_absent_word_scores_zero(self):
-        assert score("missing", NORMAL, TOY, 4) == 0.0
+        assert "missing" not in score(TOY, 4)[NORMAL]
+        assert score_of("missing", NORMAL, TOY, 4) == 0.0
 
     def test_everywhere_word_idf_one(self):
         corpus = [seq(f"s{i}", ["same", "x%d" % i], NORMAL) for i in range(4)]
+        corpus.append(seq("s4", ["same"], ANOMALY))
         # df = N so IDF = ln(1) + 1 = 1 and the score is the raw TF.
-        assert score("same", NORMAL, corpus, 4) == pytest.approx(4.0)
+        assert score_of("same", NORMAL, corpus, 4) == pytest.approx(4.0)
 
     def test_matches_oracle_on_toy_corpus(self):
         for word in {"open", "read", "panic", "trap", "abort", "flush"}:
             for class_t in (NORMAL, ANOMALY):
-                assert score(word, class_t, TOY, 4) == pytest.approx(
+                assert score_of(word, class_t, TOY, 4) == pytest.approx(
                     oracle_score(word, class_t, TOY, 4)
                 )
 
     def test_m_zero_rejected(self):
         with pytest.raises(KeywordError):
-            score("open", NORMAL, TOY, 0)
+            score(TOY, 0)
 
     def test_empty_class_rejected(self):
         corpus = [seq("s0", ["a"], NORMAL)]
         with pytest.raises(KeywordError):
-            score("a", ANOMALY, corpus, 4)
+            score(corpus, 4)
 
 
 class TestExtractTop:

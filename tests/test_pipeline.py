@@ -209,6 +209,14 @@ class TestRunPipeline:
         assert len(result.records[0].pretrain_trace) > 0
         assert len(result.records[0].finetune_trace) > 0
 
+    def test_repeated_id_rejected_before_bootstrap(self, tmp_path, monkeypatch):
+        corpus, _ = tiny_corpus()
+        corpus[7] = LogSequence(id=corpus[2].id, tokens=corpus[7].tokens)
+        monkeypatch.setattr(pl, "bootstrap", lambda *a, **k: pytest.fail("bootstrap ran"))
+        with pytest.raises(PipelineError, match=f"sequence id '{corpus[2].id}' is repeated"):
+            run_pipeline(corpus, fast_config(), out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_walk_failure_fails_the_run_cleanly(self, tmp_path):
         # "the", "a" and "of" are stopwords, so the Normal keyword list is
         # empty and the walk sampler has no Normal start vertex
