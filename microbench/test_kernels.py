@@ -1,6 +1,6 @@
 """Micro-benchmarks of the two trainable models' batched kernels, one
-classifier training epoch (the per-step cost of ``nn.fit``), walk
-sampling, the event graph and keyword kernels, the seed-word bootstrap,
+classifier training epoch (the per-step cost of ``nn.fit``), one Adam step
+at each model's size, walk sampling, the event graph and keyword kernels, the seed-word bootstrap,
 the synthetic generator, and the JSONL read and ``loggad detect`` paths.
 
 Run from the root of a checkout:
@@ -90,6 +90,32 @@ def test_classifier_step(benchmark, corpus):
         return loss
 
     assert np.isfinite(benchmark(step))
+
+
+@pytest.mark.parametrize("norm", [1.0, 50.0], ids=["unclipped", "clipped"])
+@pytest.mark.parametrize("size", ["annotator", "classifier"])
+def test_adam_step(benchmark, size, norm, graph_setup, corpus):
+    # one Adam step on a minibatch's real gradient, rescaled to a global norm
+    # below or above nn.CLIP_NORM, at each model's size
+    if size == "annotator":
+        _, _, sampler, model = graph_setup
+        batch = sampler.sample_batch(20)
+        params = {k: v.copy() for k, v in model.params.items()}
+        _, grads = ann.loss_and_grads(model, [s.subgraph for s in batch],
+                                      [s.start_class for s in batch])
+    else:
+        model = clf.ClassifierModel.create(corpus[:400], np.random.default_rng(2))
+        params = model.params
+        batch = [model.token_ids(seq.tokens) for seq in corpus[:5]]
+        _, grads = clf.loss_and_grads(model, batch, [0, 1, 0, 1, 0])
+    scale = norm / np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    adam = nn.Adam(params, lr=1e-3)
+
+    def fresh_grads():  # a step clips its gradient in place
+        return ({k: g * scale for k, g in grads.items()},), {}
+
+    benchmark.pedantic(adam.step, setup=fresh_grads, rounds=300, warmup_rounds=10)
+    assert adam.t >= 1 and all(np.isfinite(p).all() for p in params.values())
 
 
 def test_classifier_train_epoch(benchmark, corpus):

@@ -190,13 +190,21 @@ def transition_probabilities(g: EventGraph) -> np.ndarray:
     """Row-cumulative walk probabilities, (|V|, |V|) float64.
 
     Row v is the running sum of F[v] / sum(F[v]); the next vertex after v
-    is the first column whose entry exceeds a uniform draw. An isolated
-    vertex gets an all-zero row (dead end).
+    is the first column whose entry exceeds a uniform draw. That sum can
+    round below 1 (ten equal neighbours end at 0.9999999999999999), so from
+    a row's last positive column on it is raised to at least 1.0: a draw
+    just below 1 then lands on that column instead of past the row's end.
+    An isolated vertex gets an all-zero row (dead end).
     """
     if g.n_vertices == 0:
         raise GraphError("empty graph")
     freq = g.frequency
-    return np.cumsum(freq / np.maximum(freq.sum(axis=1, keepdims=True), 1), axis=1)
+    cum = np.cumsum(freq / np.maximum(freq.sum(axis=1, keepdims=True), 1), axis=1)
+    n = g.n_vertices
+    last = n - 1 - np.argmax(freq[:, ::-1] > 0, axis=1)
+    tail = (np.arange(n) >= last[:, None]) & (cum[:, -1:] > 0)
+    np.maximum(cum, 1.0, out=cum, where=tail)
+    return cum
 
 
 def induce_sequence_subgraph(g: EventGraph, seq: LogSequence) -> Subgraph:

@@ -4,7 +4,8 @@ Scoring is term frequency within a predicted class times a smoothed
 inverse document frequency raised to an exponent: the exponent sharpens
 the preference for rare, class-specific words over merely frequent ones.
 ``score`` counts document and term frequencies of both classes in one
-pass over the corpus; keyword selection and the bootstrap both read it.
+pass over the corpus and ``rank`` orders one class's result; keyword
+selection and the bootstrap both read one ``score`` pass.
 Drift between two iterations' keyword sets is the fraction of current
 keywords that were not present in the previous set; it is the pipeline's
 convergence signal.
@@ -100,6 +101,25 @@ def score(corpus: ClassifiedCorpus, M: int) -> dict[int, dict[str, tuple[float, 
     }
 
 
+def rank(
+    class_scores: dict[str, tuple[float, int]],
+    stopwords: Optional[frozenset[str] | set[str]] = None,
+) -> list[tuple[str, float]]:
+    """Every candidate keyword of one class of ``score``'s result, best first.
+
+    Higher TF-IDF^M ranks first; ties break by higher TF, then
+    lexicographically. The digit sentinel and stopwords (the default list
+    when ``stopwords`` is None) never qualify.
+    """
+    stop = DEFAULT_STOPWORDS if stopwords is None else stopwords
+    scored = sorted(
+        ((w, s, count) for w, (s, count) in class_scores.items()
+         if w != NUM_SENTINEL and w not in stop),
+        key=lambda item: (-item[1], -item[2], item[0]),
+    )
+    return [(w, s) for w, s, _ in scored]
+
+
 def extract_top(
     corpus: ClassifiedCorpus,
     Z: int,
@@ -107,28 +127,21 @@ def extract_top(
     stopwords: Optional[frozenset[str] | set[str]] = None,
     iteration_index: int = 0,
 ) -> KeywordSet:
-    """Select the top-Z keywords per class by TF-IDF^M (see ``score``).
-
-    Ties break by higher TF, then lexicographically. The digit sentinel
-    and stopwords never qualify. A class with fewer than Z candidates
-    yields a shorter list plus a warning.
+    """Select the top-Z keywords per class by TF-IDF^M (see ``score`` and
+    ``rank``). A class with fewer than Z candidates yields a shorter list
+    plus a warning.
     """
     if Z < 1:
         raise KeywordError("Z must be >= 1")
-    stop = DEFAULT_STOPWORDS if stopwords is None else frozenset(stopwords)
     lists: dict[int, list[tuple[str, float]]] = {}
     warnings: list[str] = []
     for class_t, scores in score(corpus, M).items():
-        scored = sorted(
-            ((w, s, count) for w, (s, count) in scores.items()
-             if w != NUM_SENTINEL and w not in stop),
-            key=lambda item: (-item[1], -item[2], item[0]),
-        )
-        if len(scored) < Z:
+        ranked = rank(scores, stopwords)
+        if len(ranked) < Z:
             warnings.append(
-                f"class {class_t}: only {len(scored)} candidate keywords (< Z={Z})"
+                f"class {class_t}: only {len(ranked)} candidate keywords (< Z={Z})"
             )
-        lists[class_t] = [(w, s) for w, s, _ in scored[:Z]]
+        lists[class_t] = ranked[:Z]
     return KeywordSet(
         normal=lists[NORMAL],
         anomaly=lists[ANOMALY],

@@ -5,7 +5,9 @@ analytic gradients, verified against finite differences in the test suite.
 All training runs through ``fit``: annotator pre-training and fine-tuning
 and the classifier are the same minibatch Adam loop over different batches.
 ``Adam`` keeps the parameters it trains in one flat float64 vector, so a
-step is a few whole-vector operations however many arrays a model has.
+step is a few whole-vector operations however many arrays a model has;
+one dot product over the flat gradient decides whether the exact,
+per-parameter clip norm needs to run at all.
 """
 
 from __future__ import annotations
@@ -83,7 +85,9 @@ class Adam:
     caller's dict is rebound to a named view of it, and the moments ``m``
     and ``v`` are flat too, readable per parameter as ``m[k]`` and ``v[k]``.
     A step updates every element with the same operations in the same
-    order as a per-parameter loop would, so the bits are the same.
+    order as a per-parameter loop would, so the bits are the same; the
+    per-parameter ``clip_global_norm`` runs only when the flat gradient's
+    ``g @ g`` says that it might clip.
     """
 
     def __init__(self, params: Params, lr: float):
@@ -98,11 +102,17 @@ class Adam:
         self.v = _named_views(self._v, params)
 
     def step(self, grads: Params) -> None:
-        clip_global_norm(grads, CLIP_NORM)
+        g = np.concatenate([grads[k].ravel() for k in self.params])
+        # g @ g sums in another order than clip_global_norm, but within a
+        # relative n * 2**-53 of it, so below this bound the exact norm is
+        # below CLIP_NORM too and nothing would be clipped. A NaN norm never
+        # clips and skips the exact path; an inf norm takes it.
+        if g @ g > CLIP_NORM**2 * (1 - 1e-9):
+            clip_global_norm(grads, CLIP_NORM)
+            g = np.concatenate([grads[k].ravel() for k in self.params])
         self.t += 1
         b1, b2 = BETA1, BETA2
         correction = np.sqrt(1 - b2**self.t) / (1 - b1**self.t)
-        g = np.concatenate([grads[k].ravel() for k in self.params])
         m, v = self._m, self._v
         m *= b1
         m += (1 - b1) * g

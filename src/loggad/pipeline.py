@@ -47,6 +47,7 @@ from loggad.keywords import (
     drift,
     extract_top,
     load_stopwords,
+    rank,
     score,
 )
 
@@ -202,16 +203,14 @@ def bootstrap(
         raise PipelineError(f"no sequence contains any seed keyword {seeds}")
     if n_hits == len(corpus):
         raise PipelineError("every sequence contains a seed keyword; cannot split")
-    seed_scores = score(classified, config.idf_exponent)[ANOMALY]
+    scores = score(classified, config.idf_exponent)
     anomaly_list = sorted(
-        ((w, seed_scores.get(w, (0.0, 0))[0]) for w in seed_set),
+        ((w, scores[ANOMALY].get(w, (0.0, 0))[0]) for w in seed_set),
         key=lambda item: (-item[1], item[0]),
     )
     # Initial normal list kept as short as the seed list: symmetric list
     # sizes keep the term-frequency vote unbiased at cold start.
-    normal_list = extract_top(
-        classified, len(seed_set), config.idf_exponent, stopwords=stopwords
-    ).normal
+    normal_list = rank(scores[NORMAL], stopwords)[: len(seed_set)]
     keywords = KeywordSet(normal=normal_list, anomaly=anomaly_list, iteration_index=0)
     return keywords, classified
 

@@ -3,14 +3,18 @@
 A training pair is made by picking a class uniformly, picking a start
 keyword of that class uniformly, drawing a walk length from a Gaussian
 fitted to per-sequence keyword counts, and walking the event graph with
-frequency-proportional transition probabilities. The induced subgraph over
+frequency-proportional transition probabilities, one ``bisect_right`` on a
+row of cumulative probabilities per step. The induced subgraph over
 the distinct visited vertices, labeled with the start class, imitates a
 log sequence's subgraph.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +36,7 @@ class WalkLengthModel:
 
     def sample_length(self, rng: np.random.Generator) -> int:
         raw = rng.normal(self.mu, np.sqrt(self.sigma2))
-        return int(np.clip(round(raw), self.l_min, self.l_max))
+        return min(max(round(raw), self.l_min), self.l_max)
 
 
 @dataclass
@@ -67,16 +71,21 @@ def fit_length_model(
 
 def sample_walk(
     g: EventGraph,
-    transitions: np.ndarray,
+    transitions: Sequence[Sequence[float]],
     model: WalkLengthModel,
     rng: np.random.Generator,
 ) -> WalkSample:
     """One self-supervision sample: class, start keyword, walked subgraph.
 
     ``transitions`` holds the row-cumulative probabilities of
-    ``graph.transition_probabilities``. The walk takes up to L transition
-    steps and stops early at dead ends (all-zero rows); repeated visits
-    collapse into the distinct-vertex set.
+    ``graph.transition_probabilities``, as its array or as the per-row
+    ``array('d')`` copies that ``WalkSampler`` keeps. The walk takes L
+    transition steps, or none when it starts on a dead end (an all-zero
+    row): the event graph is symmetric, so a walk that leaves its start
+    never meets one. The L uniforms come from one ``rng.random(L)`` call,
+    the same doubles as L scalar draws. Each step is the first column whose
+    cumulative probability exceeds its draw, and repeated visits collapse
+    into the distinct-vertex set.
     """
     start_class = int(rng.integers(2))
     candidates = g.class_vertices(start_class)
@@ -85,13 +94,11 @@ def sample_walk(
     start = int(candidates[rng.integers(candidates.size)])
     length = model.sample_length(rng)
     visited = {start}
-    current = start
-    for _ in range(length):
-        cum = transitions[current]
-        if cum[-1] == 0.0:
-            break
-        current = int(np.searchsorted(cum, rng.random(), side="right"))
-        visited.add(current)
+    if transitions[start][-1] != 0.0:
+        current = start
+        for u in rng.random(length).tolist():
+            current = bisect_right(transitions[current], u)
+            visited.add(current)
     return WalkSample(
         start_class=start_class,
         start_word=g.words[start],
@@ -113,7 +120,9 @@ class WalkSampler:
             if g.class_vertices(class_t).size == 0:
                 raise WalkError(f"class {class_t} has no keyword present in the graph")
         self.graph = g
-        self.transitions = transitions
+        # sample_walk bisects these: bisect_right on an array('d') row is
+        # several times faster than np.searchsorted, at the float64 size
+        self.transitions = [array("d", row) for row in transitions]
         self.model = model
         self.rng = rng
 

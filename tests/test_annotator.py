@@ -8,7 +8,7 @@ import pytest
 
 from graph_literals import frequency_matrix
 from loggad import annotator as ann
-from loggad import nn
+from loggad import nn, walks
 from loggad.annotator import (
     AnnotatorError,
     AnnotatorModel,
@@ -521,6 +521,23 @@ class TestTraining:
         trace = ann.pretrain(model, sampler, steps=150, batch_size=10, lr=1e-2)
         assert len(trace) == 150
         assert np.mean(trace[-10:]) < np.mean(trace[:10])
+
+    def test_pretrain_samples_each_walk_through_sample_walk(self, monkeypatch):
+        # the benchmark's walks.* metrics count and measure sample_walk calls
+        calls = []
+        sample_walk = walks.sample_walk
+
+        def counted(*args):
+            calls.append(sample_walk(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(walks, "sample_walk", counted)
+        corpus, ks, g, model = trainable_setup()
+        sampler = WalkSampler(
+            g, transition_probabilities(g), WalkLengthModel(3.0, 1.0), np.random.default_rng(2)
+        )
+        assert len(ann.pretrain(model, sampler, steps=7, batch_size=6)) == 7
+        assert len(calls) == 42
 
     def test_pretrain_zero_steps_is_noop(self):
         corpus, ks, g, model = trainable_setup()

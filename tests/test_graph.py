@@ -249,6 +249,45 @@ class TestTransitionProbabilities:
                 assert abs(row.sum() - 1.0) <= 1e-12
 
 
+    def test_rows_reach_one_from_the_last_neighbor_on(self):
+        # ten equal neighbours sum to 0.9999999999999999; a draw of
+        # nextafter(1, 0) must still land on the last neighbour
+        g = EventGraph(
+            words=[f"w{i}" for i in range(11)], class_flags=np.ones((11, 2)),
+            frequency=frequency_matrix(11, {(0, j): 1 for j in range(1, 11)}),
+        )
+        assert np.cumsum(np.full(10, 0.1))[-1] < 1.0
+        row = transition_probabilities(g)[0]
+        assert row[-1] == 1.0
+        assert np.searchsorted(row, np.nextafter(1.0, 0.0), side="right") == 10
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_rows_are_the_running_sum_raised_to_one_at_the_tail(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        edges = {}
+        for _ in range(rng.integers(0, 80)):
+            i, j = sorted(rng.choice(n, size=2, replace=False))
+            edges[(int(i), int(j))] = int(rng.integers(1, 9))
+        g = EventGraph(
+            words=[f"w{i}" for i in range(n)], class_flags=np.ones((n, 2)),
+            frequency=frequency_matrix(n, edges),
+        )
+        policy = transition_probabilities(g)
+        freq = g.frequency
+        running = np.cumsum(freq / np.maximum(freq.sum(axis=1, keepdims=True), 1), axis=1)
+        for v in range(n):
+            cols = np.flatnonzero(freq[v])
+            if cols.size == 0:
+                assert not policy[v].any()
+                continue
+            last = cols[-1]
+            assert policy[v, :last].tobytes() == running[v, :last].tobytes()
+            assert (policy[v, last:] == np.maximum(running[v, last:], 1.0)).all()
+            assert (np.diff(policy[v]) >= 0).all()
+
+
 class TestInducedSubgraph:
     def build_toy(self):
         corpus = seqs(

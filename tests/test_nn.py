@@ -170,3 +170,36 @@ class TestFlatAdam:
                 assert adam.v[k].tobytes() == ref.v[k].tobytes(), (step, k)
                 assert grads[k].tobytes() == ref_grads[k].tobytes(), (step, k)
         assert 10 < clipped < 40
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    @pytest.mark.parametrize(
+        "case", ["1+1e-12", "1-1e-12", "1-1e-8", "exact", "nan", "inf"]
+    )
+    def test_clip_boundary_matches_the_per_parameter_loop(self, case):
+        # global norms of CLIP_NORM times each factor, exactly CLIP_NORM, and
+        # a NaN or inf element (clipping inf scales it to NaN)
+        rng = np.random.default_rng(12)
+        params = annotator_shaped(rng)
+        reference = {k: v.copy() for k, v in params.items()}
+        adam, ref = nn.Adam(params, lr=0.01), PerParameterAdam(reference, lr=0.01)
+        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+        if case == "exact":
+            grads = {k: np.zeros_like(g) for k, g in grads.items()}
+            grads["head_b"][:] = [3.0, -4.0]
+        elif case in ("nan", "inf"):
+            grads["W2_2"][1, 3] = float(case)
+        else:
+            factor = 1.0 + float(case[1:])
+            target = nn.CLIP_NORM * factor
+            grads = {k: g * (target / global_norm(grads)) for k, g in grads.items()}
+            assert (global_norm(grads) > nn.CLIP_NORM) == (factor > 1)
+        if case == "exact":
+            assert global_norm(grads) == nn.CLIP_NORM
+        ref_grads = {k: g.copy() for k, g in grads.items()}
+        adam.step(grads)
+        ref.step(ref_grads)
+        for k in reference:
+            assert params[k].tobytes() == reference[k].tobytes(), k
+            assert adam.m[k].tobytes() == ref.m[k].tobytes(), k
+            assert adam.v[k].tobytes() == ref.v[k].tobytes(), k
+            assert grads[k].tobytes() == ref_grads[k].tobytes(), k

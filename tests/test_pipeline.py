@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from loggad import evaluation as ev
+from loggad import keywords as kw
 from loggad import pipeline as pl
 from loggad.ingest import LogSequence
-from loggad.keywords import ANOMALY, NORMAL
+from loggad.keywords import ANOMALY, NORMAL, extract_top
 from loggad.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -155,6 +156,24 @@ class TestBootstrap:
         seeds = set(cfg.seed_keywords)
         for seq, label in classified:
             assert label == (ANOMALY if seeds & set(seq.tokens) else NORMAL)
+
+    @pytest.mark.parametrize("stopwords", [None, frozenset({"svc10_ok"})])
+    def test_one_score_pass_gives_extract_tops_normal_list(self, monkeypatch, stopwords):
+        corpus, _ = tiny_corpus()
+        cfg = fast_config()
+        passes = []
+        score = pl.score
+
+        def counted(*args):
+            passes.append(args)
+            return score(*args)
+
+        monkeypatch.setattr(pl, "score", counted)
+        monkeypatch.setattr(kw, "score", counted)
+        keywords, classified = bootstrap(strip_gold(corpus), cfg, stopwords)
+        assert len(passes) == 1
+        expected = extract_top(classified, len(keywords.anomaly), cfg.idf_exponent, stopwords)
+        assert keywords.normal == expected.normal
 
     def test_seeded_requires_seeds(self):
         corpus, _ = tiny_corpus()

@@ -166,6 +166,111 @@ class TestSampleWalk:
             WalkSampler(g, policy, model, np.random.default_rng(0))
 
 
+class StubRng:
+    """Class 0, its first candidate, the mean length, and every uniform
+    draw at nextafter(1, 0), the largest double below 1."""
+
+    def integers(self, n):
+        return 0
+
+    def normal(self, mu, sigma):
+        return mu
+
+    def random(self, size=None):
+        u = np.nextafter(1.0, 0.0)
+        return u if size is None else np.full(size, u)
+
+
+class TestRowEnd:
+    def test_top_draw_from_a_ten_neighbor_star_stays_in_the_graph(self):
+        # center 0 (class 0) with ten equal leaves: its running sum ends at
+        # 0.9999999999999999, below the draw; the walk must take leaf 10
+        flags = np.zeros((11, 2))
+        flags[0, 0] = 1.0
+        flags[1:, 1] = 1.0
+        g = EventGraph(
+            words=[f"w{i:02d}" for i in range(11)], class_flags=flags,
+            frequency=frequency_matrix(11, {(0, j): 1 for j in range(1, 11)}),
+        )
+        policy = transition_probabilities(g)
+        model = WalkLengthModel(mu=3.0, sigma2=0.0)
+        for sample in (
+            sample_walk(g, policy, model, StubRng()),
+            WalkSampler(g, policy, model, StubRng()).sample(),
+        ):
+            assert sample.start_word == "w00"
+            assert sample.subgraph.vertex_ids.tolist() == [0, 10]
+
+
+def searchsorted_walk(g, transitions, model, rng):
+    """The per-step ``np.searchsorted`` walker that bisecting replaced: the
+    reference for the walks and the draws of ``sample_walk``."""
+    start_class = int(rng.integers(2))
+    candidates = g.class_vertices(start_class)
+    start = int(candidates[rng.integers(candidates.size)])
+    raw = rng.normal(model.mu, np.sqrt(model.sigma2))
+    length = int(np.clip(round(raw), model.l_min, model.l_max))
+    visited = {start}
+    current = start
+    for _ in range(length):
+        cum = transitions[current]
+        if cum[-1] == 0.0:
+            break
+        current = int(np.searchsorted(cum, rng.random(), side="right"))
+        visited.add(current)
+    return start_class, g.words[start], sorted(visited)
+
+
+def random_graph(rng):
+    """2-30 vertices, both classes present, and a few isolated vertices."""
+    n = int(rng.integers(2, 31))
+    flags = np.zeros((n, 2))
+    flags[np.arange(n), rng.integers(2, size=n)] = 1.0
+    flags[rng.random(n) < 0.3] = 1.0
+    flags[0] = [1.0, 0.0]
+    flags[1] = [0.0, 1.0]
+    connected = np.flatnonzero(rng.random(n) > 0.2)
+    edges = {}
+    if connected.size >= 2:
+        for _ in range(rng.integers(1, 4 * n)):
+            i, j = sorted(rng.choice(connected, size=2, replace=False))
+            edges[(int(i), int(j))] = int(rng.integers(1, 12))
+    return EventGraph(
+        words=[f"w{i:02d}" for i in range(n)], class_flags=flags,
+        frequency=frequency_matrix(n, edges),
+    )
+
+
+class TestBisectWalker:
+    def test_matches_the_searchsorted_walker_and_its_draws(self):
+        dead_starts = long_walks = 0
+        for seed in range(200):
+            graph_rng = np.random.default_rng(seed)
+            g = random_graph(graph_rng)
+            policy = transition_probabilities(g)
+            model = WalkLengthModel(
+                mu=float(graph_rng.uniform(0, 12)),
+                sigma2=float(graph_rng.uniform(0, 30)),
+                l_min=int(graph_rng.integers(0, 2)),
+                l_max=int(graph_rng.integers(1, 40)),
+            )
+            rng, ref_rng, direct_rng = (np.random.default_rng(1000 + seed) for _ in range(3))
+            sampler = WalkSampler(g, policy, model, rng)
+            for _ in range(10):
+                expected = searchsorted_walk(g, policy, model, ref_rng)
+                for s, r in (
+                    (sampler.sample(), rng),
+                    (sample_walk(g, policy, model, direct_rng), direct_rng),
+                ):
+                    got = (s.start_class, s.start_word, s.subgraph.vertex_ids.tolist())
+                    assert got == expected, seed
+                    assert r.bit_generator.state == ref_rng.bit_generator.state, seed
+                start = g.index[expected[1]]
+                dead_starts += not policy[start].any()
+                long_walks += len(expected[2]) > 2
+        assert dead_starts > 50 and long_walks > 500
+
+
 class TestMonteCarlo:
     def test_star_graph_transition_frequencies(self):
         # center 0 with leaves b (F=3) and c (F=1): one-step visit ratio
