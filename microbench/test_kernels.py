@@ -108,13 +108,10 @@ def test_adam_step(benchmark, size, norm, graph_setup, corpus):
         params = model.params
         batch = [model.token_ids(seq.tokens) for seq in corpus[:5]]
         _, grads = clf.loss_and_grads(model, batch, [0, 1, 0, 1, 0])
-    scale = norm / np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    scale = norm / nn.global_norm(grads)
     adam = nn.Adam(params, lr=1e-3)
-
-    def fresh_grads():  # a step clips its gradient in place
-        return ({k: g * scale for k, g in grads.items()},), {}
-
-    benchmark.pedantic(adam.step, setup=fresh_grads, rounds=300, warmup_rounds=10)
+    scaled = {k: g * scale for k, g in grads.items()}  # a step leaves its gradient as passed
+    benchmark.pedantic(adam.step, args=(scaled,), rounds=300, warmup_rounds=10)
     assert adam.t >= 1 and all(np.isfinite(p).all() for p in params.values())
 
 
@@ -165,6 +162,11 @@ def sequence_file(tmp_path_factory):
 
 def test_ingest_read_jsonl_5000(benchmark, sequence_file):
     assert len(benchmark(ingest.read_jsonl, sequence_file)) == 5_000
+
+
+def test_ingest_iter_jsonl_5000(benchmark, sequence_file):
+    # the detect read path: a stream that keeps no ids
+    assert benchmark(lambda: sum(1 for _ in ingest.iter_jsonl(sequence_file))) == 5_000
 
 
 def test_cli_detect_5000(benchmark, corpus, sequence_file):

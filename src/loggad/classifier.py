@@ -1,11 +1,11 @@
-"""Compact pluggable sequence classifier trained on pseudo labels.
+"""Compact sequence classifier trained on pseudo labels.
 
-The default model is deliberately small: a token embedding table, mean
-pooling over the sequence, and a 2-layer head producing 2 logits. Mean
-pooling makes it order-agnostic, which diverges from an order-aware
-transformer but keeps training and gradient checking tractable at desk
-scale. Any object with the same train/predict/save/load surface can be
-swapped in by the pipeline.
+The model is deliberately small: a token embedding table, mean pooling
+over the sequence, and a 2-layer head producing 2 logits. Mean pooling
+makes it order-agnostic, which diverges from an order-aware transformer
+but keeps training and gradient checking tractable at desk scale. The
+pipeline creates it with ``ClassifierModel.create``; there is no other
+model to swap in.
 
 The kernel takes a batch as its sequences' ``token_ids`` concatenated plus
 one length per sequence: mean pooling is one segment sum

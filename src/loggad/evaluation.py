@@ -2,7 +2,8 @@
 
 Anomaly is the positive class throughout. The synthetic generator plants
 an exact anomaly count (not Bernoulli) so desk-scale thresholds are
-stable across seeds.
+stable across seeds. Predictions and label files are read through
+``ingest.numbered_lines``, so a bad line raises EvalError naming it.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
-from loggad.ingest import LogSequence, RawLogRecord, group_by_key, window
+from loggad.ingest import (
+    LogSequence, RawLogRecord, group_by_key, json_object, numbered_lines, window,
+)
 
 
 class EvalError(ValueError):
@@ -94,37 +98,21 @@ def read_predictions(path) -> dict[str, int]:
 
     Each non-blank line is an object with a string ``id`` and a ``label``
     of 0 or 1 (a boolean is not a label); other keys are ignored. A bad
-    line, or an id already seen, raises EvalError naming the file and its
-    line number (from 1).
+    line, or an id already seen, raises EvalError through
+    ``ingest.numbered_lines``, naming the file and its line number.
     """
-    predictions: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problem = f"invalid JSON: {exc.msg} at column {exc.colno}"
-            else:
-                problem = _prediction_problem(obj, predictions)
-            if problem:
-                raise EvalError(f"{path}, line {line_no}: {problem}")
-            predictions[obj["id"]] = obj["label"]
-    return predictions
+    lines = numbered_lines(path, _prediction_from_json, EvalError, ("sequence id", itemgetter(0)))
+    return dict(item for _, item in lines)
 
 
-def _prediction_problem(obj, seen: dict[str, int]) -> Optional[str]:
-    if not isinstance(obj, dict):
-        return "expected a JSON object"
+def _prediction_from_json(line: str) -> tuple[str, int]:
+    obj = json_object(line)
     sid, label = obj.get("id"), obj.get("label")
     if not isinstance(sid, str):
-        return "'id' is missing or not a str"
+        raise ValueError("'id' is missing or not a str")
     if type(label) is not int or label not in (0, 1):
-        return f"'label' must be 0 or 1, got {label!r}"
-    if sid in seen:
-        return f"id {sid!r} is repeated"
-    return None
+        raise ValueError(f"'label' must be 0 or 1, got {label!r}")
+    return sid, label
 
 
 @dataclass
@@ -411,8 +399,11 @@ def load_loghub_sample(
         raise EvalError(f"unknown dataset kind {dataset_kind!r}; expected one of {DATASET_KINDS}")
     if label_path and dataset_kind in INLINE_TAG_KINDS:
         raise EvalError(f"{dataset_kind} takes no label file: its lines carry inline alert tags")
-    line_labels = _load_line_labels(label_path) if label_path and dataset_kind not in ("hdfs",) else {}
-    block_labels = _load_block_labels(label_path) if label_path and dataset_kind == "hdfs" else {}
+    line_labels, block_labels = {}, {}
+    if label_path and dataset_kind == "hdfs":
+        block_labels = _load_labels(label_path, _block_label, "block")
+    elif label_path:
+        line_labels = _load_labels(label_path, _line_label, "log line")
 
     records = []
     n_lines = 0
@@ -460,54 +451,32 @@ _BLOCK_TAGS = {"anomaly": 1, "1": 1, "normal": 0, "0": 0}  # lower-cased
 _LINE_TAGS = {"1": 1, "0": 0}
 
 
-def _load_block_labels(path) -> dict[str, tuple[int, int]]:
-    """Block id -> (label, label-file line from 1) from ``blk_...,tag``
-    lines, the tag Anomaly, Normal, 1 or 0 in any case; any other tag
-    raises EvalError naming the file line."""
-    labels = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for file_line, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.lower().startswith("blockid"):
-                continue
-            block, _, tag = line.partition(",")
-            label = _BLOCK_TAGS.get(tag.strip().lower())
-            if label is None:
-                raise EvalError(
-                    f"{path}, line {file_line}: label must be Anomaly, Normal, 1 or 0, "
-                    f"got {tag.strip()!r}"
-                )
-            _put_label(labels, "block", block.strip(), label, path, file_line)
-    return labels
+def _block_label(line: str) -> Optional[tuple[str, int]]:
+    """``blk_...,tag``, the tag in any case; a ``BlockId`` header is skipped."""
+    line = line.strip()
+    if line.lower().startswith("blockid"):
+        return None
+    block, _, tag = line.partition(",")
+    label = _BLOCK_TAGS.get(tag.strip().lower())
+    if label is None:
+        raise ValueError(f"label must be Anomaly, Normal, 1 or 0, got {tag.strip()!r}")
+    return block.strip(), label
 
 
-def _load_line_labels(path) -> dict[int, tuple[int, int]]:
-    """Log line number -> (label, label-file line from 1) from ``line_no,tag``
-    lines, the tag 0 or 1; anything else raises EvalError naming the file line."""
-    labels = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for file_line, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            line_no, _, tag = (part.strip() for part in line.partition(","))
-            if not line_no.isdecimal() or tag not in _LINE_TAGS:
-                raise EvalError(
-                    f"{path}, line {file_line}: expected 'line_no,label' with label 0 or 1, "
-                    f"got {line!r}"
-                )
-            _put_label(labels, "log line", int(line_no), _LINE_TAGS[tag], path, file_line)
-    return labels
+def _line_label(line: str) -> tuple[int, int]:
+    """``line_no,tag`` with the tag 0 or 1."""
+    line = line.strip()
+    line_no, _, tag = (part.strip() for part in line.partition(","))
+    if not line_no.isdecimal() or tag not in _LINE_TAGS:
+        raise ValueError(f"expected 'line_no,label' with label 0 or 1, got {line!r}")
+    return int(line_no), _LINE_TAGS[tag]
 
 
-def _put_label(labels: dict, what: str, key, label: int, path, file_line: int) -> None:
-    """Record a key's (label, label-file line); a key labelled twice raises
-    EvalError naming both lines."""
-    if key in labels:
-        raise EvalError(
-            f"{path}, line {file_line}: {what} {key} is already labelled on line {labels[key][1]}"
-        )
-    labels[key] = (label, file_line)
+def _load_labels(path, parse, what: str) -> dict:
+    """Key -> (label, label-file line from 1); a bad line, or a key
+    labelled twice, raises EvalError naming its file line."""
+    lines = numbered_lines(path, parse, EvalError, (what, itemgetter(0)))
+    return {key: (label, n) for n, (key, label) in lines}
 
 
 def sequences_from_records(

@@ -1,4 +1,6 @@
-"""Raw log ingestion: normalization, grouping and windowing.
+"""Raw log ingestion: normalization, grouping and windowing; and
+``numbered_lines``, the one reader of every line-numbered input file
+(sequence and prediction JSONL, label files, the stopword list).
 
 No template parser is involved anywhere. A raw line is lowercased, long
 digit runs are replaced by a sentinel token, and the rest is split on
@@ -13,7 +15,8 @@ import json
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
-from typing import Iterable, Iterator, Optional
+from operator import attrgetter, itemgetter
+from typing import Any, Iterable, Iterator, Optional
 
 NUM_SENTINEL = "[Num]"
 
@@ -174,13 +177,51 @@ def write_jsonl(sequences: list[LogSequence], path) -> None:
             raise IngestError(f"gold_label must be 0, 1 or None, got {exc.args[0]!r}") from None
 
 
-def _sequence_from_json(line: str) -> LogSequence:
+def numbered_lines(path, parse, error, keyed=None) -> Iterator[tuple[int, Any]]:
+    """Yield ``(n, parse(line))`` for each non-blank line ``n`` (from 1) of
+    a UTF-8 text file, read lazily; lines end at ``\\n``.
+
+    ``parse`` returns an item, returns None to skip the line, or raises
+    ValueError(message). Any failure raises ``error(f"{path}, line {n}: …")``:
+    a parse error, a line that is not UTF-8, or, when ``keyed`` is a
+    ``(name, key)`` pair, an item whose ``key(item)`` an earlier line gave,
+    naming that line too.
+    """
+    name, key_of = keyed or (None, None)
+    first_line: dict = {}
+    with open(path, "rb") as fh:
+        for n, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode()  # UTF-8, the default, is the fastest call
+                if line.isspace():
+                    continue
+                item = parse(line)
+            except ValueError as exc:
+                raise error(f"{path}, line {n}: {exc}") from None
+            if item is None:
+                continue
+            if key_of:
+                key = key_of(item)
+                first = first_line.setdefault(key, n)
+                if first != n:
+                    message = f"{name} {key!r} is repeated, first on line {first}"
+                    raise error(f"{path}, line {n}: {message}")
+            yield n, item
+
+
+def json_object(line: str) -> dict:
+    """The JSON object on one line; anything else raises ValueError."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise IngestError(f"invalid JSON: {exc.msg} at column {exc.colno}") from None
+        raise ValueError(f"invalid JSON: {exc.msg} at column {exc.colno}") from None
     if not isinstance(obj, dict):
-        raise IngestError("expected a JSON object")
+        raise ValueError("expected a JSON object")
+    return obj
+
+
+def _sequence_from_json(line: str) -> LogSequence:
+    obj = json_object(line)
     for key, typ in (("id", str), ("tokens", list)):
         if not isinstance(obj.get(key), typ):
             raise IngestError(f"{key!r} is missing or not a {typ.__name__}")
@@ -200,19 +241,14 @@ def iter_jsonl(path) -> Iterator[LogSequence]:
 
     Each line is an object with a string ``id``, a non-empty list of string
     ``tokens`` and an optional ``gold_label`` of 0, 1 or null. A line that
-    breaks this raises IngestError naming the file and its line number
-    (from 1).
+    breaks this raises IngestError naming the file and its line number.
+    Ids are not checked, so memory does not grow with the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                seq = _sequence_from_json(line)
-            except IngestError as exc:
-                raise IngestError(f"{path}, line {line_no}: {exc}") from None
-            yield seq
+    return map(itemgetter(1), numbered_lines(path, _sequence_from_json, IngestError))
 
 
 def read_jsonl(path) -> list[LogSequence]:
-    return list(iter_jsonl(path))
+    """``iter_jsonl`` as a list; an id already seen raises IngestError
+    naming both of its lines."""
+    keyed = ("sequence id", attrgetter("id"))
+    return [seq for _, seq in numbered_lines(path, _sequence_from_json, IngestError, keyed)]

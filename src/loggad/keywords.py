@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from loggad.ingest import NUM_SENTINEL, LogSequence
+from loggad.ingest import NUM_SENTINEL, LogSequence, numbered_lines
 
 # Sequences paired with a predicted (not gold) class label.
 ClassifiedCorpus = list[tuple[LogSequence, int]]
@@ -173,11 +173,7 @@ def drift(current: KeywordSet, previous: KeywordSet) -> float:
 
 
 def load_stopwords(path) -> frozenset[str]:
-    """One stopword per line; blank lines and '#' comments ignored."""
-    words = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                words.add(line.lower())
-    return frozenset(words)
+    """One stopword per line; blank lines and '#' comments ignored. A line
+    that is not UTF-8 raises KeywordError naming it."""
+    lines = numbered_lines(path, str.strip, KeywordError)
+    return frozenset(word.lower() for _, word in lines if not word.startswith("#"))

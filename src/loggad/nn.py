@@ -49,13 +49,9 @@ def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, scale, size=(fan_in, fan_out))
 
 
-def clip_global_norm(grads: Params, max_norm: float) -> float:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm and total > 0:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
-    return total
+def global_norm(grads: Params) -> float:
+    """The exact global norm: one ``np.sum(g * g)`` per array, in order."""
+    return np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
 
 
 def zeros_like_params(params: Params) -> np.ndarray:
@@ -86,8 +82,9 @@ class Adam:
     and ``v`` are flat too, readable per parameter as ``m[k]`` and ``v[k]``.
     A step updates every element with the same operations in the same
     order as a per-parameter loop would, so the bits are the same; the
-    per-parameter ``clip_global_norm`` runs only when the flat gradient's
-    ``g @ g`` says that it might clip.
+    exact, per-parameter ``global_norm`` runs only when the flat gradient's
+    ``g @ g`` says that it might clip, and then scales the flat gradient.
+    The caller's ``grads`` are left as they were passed.
     """
 
     def __init__(self, params: Params, lr: float):
@@ -103,13 +100,14 @@ class Adam:
 
     def step(self, grads: Params) -> None:
         g = np.concatenate([grads[k].ravel() for k in self.params])
-        # g @ g sums in another order than clip_global_norm, but within a
+        # g @ g sums in another order than global_norm, but within a
         # relative n * 2**-53 of it, so below this bound the exact norm is
         # below CLIP_NORM too and nothing would be clipped. A NaN norm never
         # clips and skips the exact path; an inf norm takes it.
         if g @ g > CLIP_NORM**2 * (1 - 1e-9):
-            clip_global_norm(grads, CLIP_NORM)
-            g = np.concatenate([grads[k].ravel() for k in self.params])
+            total = global_norm(grads)
+            if total > CLIP_NORM:
+                g *= CLIP_NORM / total
         self.t += 1
         b1, b2 = BETA1, BETA2
         correction = np.sqrt(1 - b2**self.t) / (1 - b1**self.t)

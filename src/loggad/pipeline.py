@@ -122,10 +122,6 @@ class PipelineConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        return cls(**data)
-
-    @classmethod
     def from_ini(cls, path) -> "PipelineConfig":
         """Key/value config file with sections; keys match field names."""
         parser = configparser.ConfigParser()

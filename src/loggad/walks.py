@@ -29,14 +29,15 @@ class WalkError(ValueError):
 
 @dataclass
 class WalkLengthModel:
+    """Walk lengths drawn from N(mu, sigma2), rounded and clipped to [1, l_max]."""
+
     mu: float
     sigma2: float  # unbiased variance
-    l_min: int = 1
     l_max: int = 64
 
     def sample_length(self, rng: np.random.Generator) -> int:
         raw = rng.normal(self.mu, np.sqrt(self.sigma2))
-        return min(max(round(raw), self.l_min), self.l_max)
+        return min(max(round(raw), 1), self.l_max)
 
 
 @dataclass

@@ -139,7 +139,7 @@ class TestIngest:
         assert run(["ingest", "--input", str(raw), "--kind", "plain", "--labels", str(labels),
                     "--window", "1", "--out", str(out)]) == EXIT_ERROR
         err = capsys.readouterr().err
-        assert f"{labels}, line 2: log line 2 is already labelled on line 1" in err
+        assert f"{labels}, line 2: log line 2 is repeated, first on line 1" in err
         assert not out.exists()
 
     def test_empty_plain_file_exits_1(self, tmp_path, capsys):
@@ -280,7 +280,7 @@ class TestTrainDetectReportEval:
             ('{"id": "s1", "label": true}', "'label' must be 0 or 1, got True"),
             ('{"id": "s1", "label": 2}', "'label' must be 0 or 1, got 2"),
             ('{"id": "s1", "label": 1.0}', "'label' must be 0 or 1, got 1.0"),
-            ('{"id": "s0", "label": 0}', "id 's0' is repeated"),
+            ('{"id": "s0", "label": 0}', "sequence id 's0' is repeated, first on line 1"),
             ('["s1", 1]', "expected a JSON object"),
             ('{"id": "s1", ', "invalid JSON"),
         ],
@@ -434,6 +434,13 @@ class TestDetectStreaming:
         assert run(["eval", "--predictions", str(preds), "--gold", str(path)]) == EXIT_ERROR
         assert "line 2:" in capsys.readouterr().err
 
+    def test_non_utf8_line_exits_1_naming_it(self, tmp_path, model_dir, capsys):
+        path = tmp_path / "seqs.jsonl"
+        path.write_bytes(b'{"id": "a", "tokens": ["x"]}\n{"id": "b", "tokens": ["x\xff"]}\n')
+        assert detect(model_dir, path, tmp_path / "preds.jsonl") == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}, line 2: 'utf-8' codec can't decode byte 0xff")
+
     def test_train_and_eval_reject_a_repeated_id(self, tmp_path, capsys):
         # two logs ingested separately both number their windows from win_000000
         path = tmp_path / "seqs.jsonl"
@@ -442,15 +449,16 @@ class TestDetectStreaming:
              for sid, word in (("a", "fault0_trap"), ("b", "ok"), ("a", "ok"), ("c", "up"))],
             path,
         )
+        repeated = f"{path}, line 3: sequence id 'a' is repeated, first on line 1"
         assert run(train_args(path, tmp_path / "run")) == EXIT_ERROR
-        assert "sequence id 'a' is repeated" in capsys.readouterr().err
+        assert repeated in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
         preds = tmp_path / "preds.jsonl"
         preds.write_text("".join(
             json.dumps({"id": sid, "label": 1}) + "\n" for sid in ("a", "b", "c")
         ))
         assert run(["eval", "--predictions", str(preds), "--gold", str(path)]) == EXIT_ERROR
-        assert f"{path}: sequence id 'a' is repeated" in capsys.readouterr().err
+        assert repeated in capsys.readouterr().err
 
     def test_train_rejects_a_non_string_token_naming_its_line(
         self, tmp_path, synth_corpus, capsys
@@ -475,3 +483,50 @@ class TestDetectStreaming:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0], peaks
+
+
+class TestOutputPathErrors:
+    """An output path that cannot be written ends in exit 1 naming it, not a traceback."""
+
+    def test_detect_out_directory_exits_1_and_keeps_it(self, tmp_path, model_dir, capsys):
+        path = tmp_path / "seqs.jsonl"
+        ingest.write_jsonl(random_sequences(10), path)
+        out = tmp_path / "preds"
+        out.mkdir()
+        (out / "kept.txt").write_text("kept\n")
+        assert detect(model_dir, path, out) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+        assert (out / "kept.txt").read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+    def test_eval_out_directory_exits_1(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        ingest.write_jsonl([ingest.LogSequence(id="a", tokens=["x"], gold_label=1)], gold)
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "a", "label": 1}\n')
+        out = tmp_path / "metrics"
+        out.mkdir()
+        assert run(["eval", "--predictions", str(preds), "--gold", str(gold),
+                    "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    def test_ingest_out_directory_exits_1(self, tmp_path, capsys):
+        raw = tmp_path / "raw.log"
+        raw.write_text("alpha beta\n")
+        out = tmp_path / "seqs"
+        out.mkdir()
+        assert run(["ingest", "--input", str(raw), "--kind", "plain",
+                    "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    def test_train_out_dir_file_exits_1_and_keeps_it(self, tmp_path, synth_corpus, capsys):
+        out_dir = tmp_path / "run"
+        out_dir.write_text("not a directory\n")
+        assert run(train_args(synth_corpus, out_dir)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out_dir) in err
+        assert out_dir.read_text() == "not a directory\n"

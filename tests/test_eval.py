@@ -444,7 +444,7 @@ class TestLoaders:
         log.write_text("a\nb\nc\n")
         labels = tmp_path / "lines.csv"
         labels.write_text("0,0\n2,1\n\n2,0\n")
-        expected = f"{labels}, line 4: log line 2 is already labelled on line 2"
+        expected = f"{labels}, line 4: log line 2 is repeated, first on line 2"
         with pytest.raises(EvalError, match=re.escape(expected)):
             load_loghub_sample(log, "plain", label_path=labels)
 
@@ -453,7 +453,7 @@ class TestLoaders:
         log.write_text("081109 INFO block blk_1 src\n081109 INFO block blk_2 src\n")
         labels = tmp_path / "labels.csv"
         labels.write_text("BlockId,Label\nblk_1,Normal\nblk_2,Normal\nblk_1,Anomaly\n")
-        expected = f"{labels}, line 4: block blk_1 is already labelled on line 2"
+        expected = f"{labels}, line 4: block 'blk_1' is repeated, first on line 2"
         with pytest.raises(EvalError, match=re.escape(expected)):
             load_loghub_sample(log, "hdfs", label_path=labels)
 

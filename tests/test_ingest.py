@@ -1,12 +1,14 @@
-"""Normalization, grouping and windowing tests."""
+"""Normalization, grouping, windowing and line-numbered file reading tests."""
 
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from loggad import evaluation as ev
 from loggad import ingest
 from loggad.ingest import (
     NUM_SENTINEL,
@@ -18,6 +20,7 @@ from loggad.ingest import (
     normalize_line,
     window,
 )
+from loggad.keywords import KeywordError, load_stopwords
 
 
 class TestNormalizeLine:
@@ -273,3 +276,122 @@ class TestJsonl:
         assert reason in str(info.value)
         assert "line 1 " not in str(info.value)
 
+
+
+def _read_block_labels(path):
+    """The labels that the records of a 64-block HDFS log took from ``path``."""
+    log = path.with_name("hdfs.log")
+    log.write_text("".join(f"081109 INFO block blk_{i} src\n" for i in range(64)))
+    records = ev.load_loghub_sample(log, "hdfs", label_path=path)
+    return [r.gold_label for r in records if r.gold_label is not None]
+
+
+def _read_line_labels(path):
+    """The labels that the records of a 64-line plain log took from ``path``."""
+    log = path.with_name("raw.log")
+    log.write_text("".join(f"line {i}\n" for i in range(64)))
+    records = ev.load_loghub_sample(log, "plain", label_path=path)
+    return [r.gold_label for r in records if r.gold_label is not None]
+
+
+# file kind: (valid line i, a malformed line or None, reader, its error, the
+# name of line i's key as a repeated-key message gives it, or None if unkeyed)
+FILE_KINDS = {
+    "sequences": (
+        lambda i: json.dumps({"id": f"s{i}", "tokens": ["x", f"t{i}"], "gold_label": i % 2}),
+        '{"id": "b", "tokens": ["x"], "gold_label": 2}',
+        ingest.read_jsonl, IngestError, lambda i: f"sequence id 's{i}'",
+    ),
+    "predictions": (
+        lambda i: json.dumps({"id": f"s{i}", "label": i % 2, "confidence": 0.5}),
+        '{"id": "b", "label": true}',
+        ev.read_predictions, ev.EvalError, lambda i: f"sequence id 's{i}'",
+    ),
+    "block labels": (
+        lambda i: f"blk_{i},{('Normal', 'Anomaly')[i % 2]}",
+        "blk_9,maybe",
+        _read_block_labels, ev.EvalError, lambda i: f"block 'blk_{i}'",
+    ),
+    "line labels": (
+        lambda i: f"{i},{i % 2}",
+        "first,1",
+        _read_line_labels, ev.EvalError, lambda i: f"log line {i}",
+    ),
+    "stopwords": (lambda i: f"Word{i}", None, load_stopwords, KeywordError, None),
+}
+BLANKS = [b"", b"   ", b"\t", b"\r", b" \r"]
+FAULT_CASES = [
+    (kind, fault)
+    for kind, (_, malformed, _, _, key_name) in FILE_KINDS.items()
+    for fault in ("malformed", "not utf-8", "repeated")
+    if (fault != "malformed" or malformed) and (fault != "repeated" or key_name)
+]
+
+
+def numbered_file(rng, kind, fault):
+    """The lines of one file of ``kind``: valid lines among blank ones, plus
+    one ``fault`` ("malformed", "not utf-8" or "repeated") at a random place.
+    Returns the lines as bytes, the 1-based line of the fault and, for a
+    repeated key, that key's index and first line."""
+    valid, malformed = FILE_KINDS[kind][:2]
+    lines = [valid(i).encode() for i in range(int(rng.integers(1, 12)))]
+    for _ in range(int(rng.integers(0, 8))):
+        lines.insert(int(rng.integers(len(lines) + 1)), BLANKS[rng.integers(len(BLANKS))])
+    valid_at = [n for n, line in enumerate(lines) if line.strip()]
+    first = None
+    if fault == "repeated":
+        first = int(rng.choice(valid_at))
+        at = int(rng.integers(first + 1, len(lines) + 1))
+        bad = lines[first]
+    elif fault == "malformed":
+        at = int(rng.integers(len(lines) + 1))
+        bad = malformed.encode()
+    else:
+        at = int(rng.integers(len(lines) + 1))
+        bad = valid(99).encode()
+        cut = int(rng.integers(len(bad) + 1))
+        bad = bad[:cut] + b"\xff" + bad[cut:]
+    lines.insert(at, bad)
+    key = valid_at.index(first) if first is not None else None
+    return lines, at + 1, key, None if first is None else first + 1
+
+
+class TestNumberedLines:
+    """Every line-numbered input file goes through ``ingest.numbered_lines``,
+    so each kind reports a bad line the same way."""
+
+    @pytest.mark.parametrize("kind, fault", FAULT_CASES)
+    def test_a_fault_names_the_file_and_its_line(self, tmp_path, kind, fault):
+        _, _, reader, error, key_name = FILE_KINDS[kind]
+        path = tmp_path / "input.txt"
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            lines, line_no, key, first = numbered_file(rng, kind, fault)
+            end = b"\n" if rng.random() < 0.5 else b""
+            path.write_bytes(b"\n".join(lines) + end)
+            with pytest.raises(error) as info:
+                reader(path)
+            message = str(info.value)
+            assert message.startswith(f"{path}, line {line_no}: "), (seed, message)
+            if fault == "repeated":
+                assert message.endswith(f"{key_name(key)} is repeated, first on line {first}")
+            elif fault == "not utf-8":
+                assert "can't decode byte 0xff" in message
+
+    @pytest.mark.parametrize("kind", sorted(FILE_KINDS))
+    def test_a_clean_file_reads_every_line(self, tmp_path, kind):
+        valid, _, reader, _, _ = FILE_KINDS[kind]
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\n\n".join(valid(i).encode() for i in range(5)) + b"\n  \n")
+        assert len(reader(path)) == 5
+
+    def test_iter_jsonl_accepts_a_repeated_id(self, tmp_path):
+        path = tmp_path / "input.txt"
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            lines, line_no, _, _ = numbered_file(rng, "sequences", "repeated")
+            path.write_bytes(b"\n".join(lines))
+            ids = [seq.id for seq in ingest.iter_jsonl(path)]
+            assert len(ids) == len(set(ids)) + 1
+            with pytest.raises(IngestError, match=f"line {line_no}: "):
+                ingest.read_jsonl(path)

@@ -48,8 +48,8 @@ class TestAdam:
         adam = nn.Adam({"w": np.zeros(2)}, lr=0.1)
         grads = {"w": g.copy()}
         adam.step(grads)
+        assert np.array_equal(grads["w"], g)  # the caller's gradient is left as passed
         clipped = g * nn.CLIP_NORM / 50.0
-        np.testing.assert_allclose(grads["w"], clipped)
         np.testing.assert_allclose(adam.m["w"], (1 - nn.BETA1) * clipped)
         np.testing.assert_allclose(adam.v["w"], (1 - nn.BETA2) * clipped**2)
 
@@ -115,7 +115,7 @@ class TestFit:
 
 class PerParameterAdam:
     """The per-parameter Adam loop that the flat-buffer Adam replaced: the
-    byte-for-byte reference for its update order."""
+    byte-for-byte reference for its clip factor and update order."""
 
     def __init__(self, params, lr):
         self.params, self.lr, self.t = params, lr, 0
@@ -123,7 +123,10 @@ class PerParameterAdam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads):
-        nn.clip_global_norm(grads, nn.CLIP_NORM)
+        total = global_norm(grads)
+        if total > nn.CLIP_NORM:
+            factor = nn.CLIP_NORM / total
+            grads = {k: g * factor for k, g in grads.items()}
         self.t += 1
         b1, b2 = nn.BETA1, nn.BETA2
         correction = np.sqrt(1 - b2**self.t) / (1 - b1**self.t)
@@ -160,15 +163,15 @@ class TestFlatAdam:
         for step in range(50):
             scale = 10.0 ** rng.uniform(-3, 1)  # global norms from about 0.03 to 300
             grads = {k: rng.normal(scale=scale, size=v.shape) for k, v in params.items()}
-            ref_grads = {k: g.copy() for k, g in grads.items()}
+            passed = {k: g.copy() for k, g in grads.items()}
             clipped += global_norm(grads) > nn.CLIP_NORM
             adam.step(grads)
-            ref.step(ref_grads)
+            ref.step(passed)
             for k in reference:
                 assert params[k].tobytes() == reference[k].tobytes(), (step, k)
                 assert adam.m[k].tobytes() == ref.m[k].tobytes(), (step, k)
                 assert adam.v[k].tobytes() == ref.v[k].tobytes(), (step, k)
-                assert grads[k].tobytes() == ref_grads[k].tobytes(), (step, k)
+                assert grads[k].tobytes() == passed[k].tobytes(), (step, k)
         assert 10 < clipped < 40
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
@@ -195,11 +198,11 @@ class TestFlatAdam:
             assert (global_norm(grads) > nn.CLIP_NORM) == (factor > 1)
         if case == "exact":
             assert global_norm(grads) == nn.CLIP_NORM
-        ref_grads = {k: g.copy() for k, g in grads.items()}
+        passed = {k: g.copy() for k, g in grads.items()}
         adam.step(grads)
-        ref.step(ref_grads)
+        ref.step(passed)
         for k in reference:
             assert params[k].tobytes() == reference[k].tobytes(), k
             assert adam.m[k].tobytes() == ref.m[k].tobytes(), k
             assert adam.v[k].tobytes() == ref.v[k].tobytes(), k
-            assert grads[k].tobytes() == ref_grads[k].tobytes(), k
+            assert grads[k].tobytes() == passed[k].tobytes(), k

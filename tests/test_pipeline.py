@@ -73,7 +73,7 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = fast_config()
-        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+        assert PipelineConfig(**cfg.to_dict()) == cfg
 
     def test_from_ini(self, tmp_path):
         path = tmp_path / "run.ini"

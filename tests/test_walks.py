@@ -209,7 +209,7 @@ def searchsorted_walk(g, transitions, model, rng):
     candidates = g.class_vertices(start_class)
     start = int(candidates[rng.integers(candidates.size)])
     raw = rng.normal(model.mu, np.sqrt(model.sigma2))
-    length = int(np.clip(round(raw), model.l_min, model.l_max))
+    length = int(np.clip(round(raw), 1, model.l_max))
     visited = {start}
     current = start
     for _ in range(length):
@@ -251,7 +251,6 @@ class TestBisectWalker:
             model = WalkLengthModel(
                 mu=float(graph_rng.uniform(0, 12)),
                 sigma2=float(graph_rng.uniform(0, 30)),
-                l_min=int(graph_rng.integers(0, 2)),
                 l_max=int(graph_rng.integers(1, 40)),
             )
             rng, ref_rng, direct_rng = (np.random.default_rng(1000 + seed) for _ in range(3))
