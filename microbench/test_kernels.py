@@ -137,7 +137,7 @@ def test_keywords_extract_top(benchmark, classified):
 
 def test_bootstrap(benchmark, corpus):
     config = PipelineConfig(seed_keywords=sorted(SEED_KEYWORDS))
-    keywords, _ = benchmark(bootstrap, corpus[:400], config)
+    keywords = benchmark(bootstrap, corpus[:400], config)
     assert sorted(keywords.class_words(ANOMALY)) == sorted(SEED_KEYWORDS)
 
 

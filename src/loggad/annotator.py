@@ -299,7 +299,8 @@ def finetune(
     batch_size: int = 20,
     rng: Optional[np.random.Generator] = None,
     margin: float = 0.0,
-    prior: Optional[Mapping[str, int]] = None,
+    *,
+    prior: Mapping[str, int],
 ) -> list[float]:
     """Fine-tune on sequence subgraphs.
 
@@ -307,15 +308,13 @@ def finetune(
     threshold) is trained toward that vote. An indecisive vote is never a
     target: ambiguous votes are exactly the ones the annotator exists to
     overrule. Such a sequence is trained toward its ``prior`` label instead
-    (sequence id -> class, the previous iteration's classifier labels) when
-    one is given, and skipped otherwise. Abstaining sequences (no keywords,
-    hence empty subgraphs) are always skipped.
+    (sequence id -> class, the previous iteration's classifier labels).
+    Abstaining sequences (no keywords, hence empty subgraphs) are skipped.
     Mutates the model in place and returns the loss trace.
     """
     _check_graph_match(model, graph)
     if not 0.0 <= margin < 1.0:
         raise AnnotatorError(f"margin must be in [0, 1), got {margin}")
-    prior = prior or {}
     pairs = []
     for seq, vote in zip(corpus, vote_counts(corpus, keywords)):
         label = vote.label if vote.margin >= margin else prior.get(seq.id)

@@ -31,10 +31,21 @@ EXIT_VOCAB_MISMATCH = 3
 DETECT_BLOCK = 1024  # sequences parsed, predicted and written at a time
 
 
-def _require_file(path: str) -> Path:
+def _require_file(path: str | Path) -> Path:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(path)
+    return p
+
+
+def _output_file(path: str) -> Path:
+    """An output file path, checked before any work: a path that cannot be
+    written fails at once with exit 1, not as a missing input."""
+    p = Path(path)
+    if p.is_dir():
+        raise ValueError(f"output path is a directory: {path}")
+    if not p.parent.is_dir():
+        raise ValueError(f"output path is in no existing directory: {path}")
     return p
 
 
@@ -42,6 +53,7 @@ def cmd_ingest(args) -> int:
     path = _require_file(args.input)
     if args.labels:
         _require_file(args.labels)
+    out = _output_file(args.out)
     records = ev.load_loghub_sample(path, args.kind, label_path=args.labels)
     if args.kind == "hdfs":
         sequences, unkeyed = ingest.group_by_key(records, ev.HDFS_BLOCK_PATTERN)
@@ -50,7 +62,7 @@ def cmd_ingest(args) -> int:
         sequences = ev.sequences_from_records(records, args.kind, window_size=args.window)
         n_blank = -(-len(records) // args.window) - len(sequences)
         skipped = f"{n_blank} window(s) whose lines normalize to no token" if n_blank else ""
-    ingest.write_jsonl(sequences, args.out)
+    ingest.write_jsonl(sequences, out)
     print(f"wrote {len(sequences)} sequences to {args.out}")
     if skipped:
         print(f"skipped {skipped}")
@@ -58,6 +70,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    out = _output_file(args.out)
     spec = ev.SyntheticSpec(
         n_sequences=args.n,
         anomaly_rate=args.anomaly_rate,
@@ -65,7 +78,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     sequences = ev.generate_synthetic(spec)
-    ingest.write_jsonl(sequences, args.out)
+    ingest.write_jsonl(sequences, out)
     print(f"wrote {len(sequences)} synthetic sequences to {args.out}")
     print(f"anomaly seed candidates: {','.join(spec.anomaly_vocab[:4])}")
     return EXIT_OK
@@ -96,10 +109,9 @@ def cmd_train(args) -> int:
 
 def cmd_detect(args) -> int:
     seq_path = _require_file(args.sequences)
+    out = _output_file(args.out)
     model_dir = Path(args.model_dir)
-    checkpoint = model_dir / "classifier.npz"
-    if not checkpoint.is_file():
-        raise FileNotFoundError(str(checkpoint))
+    checkpoint = _require_file(model_dir / "classifier.npz")
     try:
         model = clf.ClassifierModel.load(checkpoint)
     except clf.ClassifierError as exc:
@@ -111,7 +123,6 @@ def cmd_detect(args) -> int:
         if manifest.get("classifier_vocab_hash") not in (None, model.vocab_hash):
             print("error: model vocabulary hash does not match run manifest", file=sys.stderr)
             return EXIT_VOCAB_MISMATCH
-    out = Path(args.out)
     # written beside --out and moved over it only once every block is written,
     # so a bad input line leaves an existing --out as it was
     partial = out.with_name(f".{out.name}.{os.getpid()}.tmp")
@@ -131,10 +142,8 @@ def cmd_detect(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    manifest_path = run_dir / "manifest.json"
-    if not manifest_path.is_file():
-        raise FileNotFoundError(str(manifest_path))
-    manifest = json.loads(manifest_path.read_text())
+    manifest = json.loads(_require_file(run_dir / "manifest.json").read_text())
+    csv_path = _output_file(args.out) if args.out else run_dir / "gamma.csv"
 
     print("keyword evolution (top anomaly keywords per iteration)")
     initial = run_dir / "keywords_000.json"
@@ -152,7 +161,6 @@ def cmd_report(args) -> int:
     gamma_rows = [(e["iteration"], e["gamma"]) for e in manifest["iterations"]]
     for iteration, gamma in gamma_rows:
         print(f"  iteration {iteration}: gamma={gamma:.4f}")
-    csv_path = Path(args.out) if args.out else run_dir / "gamma.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "gamma"])
@@ -183,13 +191,14 @@ def cmd_report(args) -> int:
 def cmd_eval(args) -> int:
     pred_path = _require_file(args.predictions)
     gold_path = _require_file(args.gold)
+    out = _output_file(args.out) if args.out else None
     predictions = ev.read_predictions(pred_path)
     gold = {s.id: s.gold_label for s in ingest.read_jsonl(gold_path) if s.gold_label is not None}
     predictions = {sid: lbl for sid, lbl in predictions.items() if sid in gold}
     metrics = ev.score(predictions, gold)
     payload = metrics.to_json()
-    if args.out:
-        Path(args.out).write_text(payload + "\n")
+    if out:
+        out.write_text(payload + "\n")
     print(payload)
     return EXIT_OK
 

@@ -9,11 +9,12 @@ threshold or the iteration cap is hit. An iteration after the first whose
 classifier predicts a single class ends the run at the previous iteration,
 whose results are kept.
 
-Fine-tuning targets are the decisive keyword votes. From the second
-iteration on, a sequence whose vote falls below ``finetune_margin`` is
-trained toward the previous iteration's classifier label instead of being
-dropped; the first iteration has no such labels (the bootstrap split is
-only a keyword seed), so there it is dropped.
+The first iteration pseudo-labels by the keyword vote in every mode, as
+counting mode does in all of them: its keywords are the seed words and as
+many bootstrap Normal words, a graph too small for the annotator to add
+anything to their vote. Fine-tuning targets are the decisive keyword votes;
+a sequence whose vote falls below ``finetune_margin`` is trained toward the
+previous iteration's classifier label instead.
 
 Gold labels never reach any of this: the corpus is stripped of them at the
 entry point, so poisoned gold labels cannot change anything before the
@@ -103,13 +104,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.annotator_mode not in ANNOTATOR_MODES:
             raise PipelineError(f"annotator_mode must be one of {ANNOTATOR_MODES}")
-        for name in (
-            "keywords_per_class", "idf_exponent", "cooccur_window", "gin_layers",
-            "gin_hidden", "annotator_epochs", "annotator_batch", "finetune_epochs",
-            "classifier_epochs", "classifier_batch", "embed_dim", "classifier_hidden",
-            "max_iterations", "walk_max_length",
-        ):
-            if getattr(self, name) < 1:
+        for name, kind in get_type_hints(type(self)).items():  # every size and count
+            if kind is int and name != "seed" and getattr(self, name) < 1:
                 raise PipelineError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("annotator_lr", "finetune_lr", "classifier_lr"):
             lr = getattr(self, name)
@@ -123,19 +119,30 @@ class PipelineConfig:
 
     @classmethod
     def from_ini(cls, path) -> "PipelineConfig":
-        """Key/value config file with sections; keys match field names."""
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise PipelineError(f"config file not found: {path}")
-        flat: dict[str, str] = {}
-        for section in parser.sections():
-            flat.update(parser[section])
+        """Key/value config file with sections; keys match field names, each
+        set once in the whole file, [DEFAULT] included. A malformed file
+        raises PipelineError naming it, and the key where one applies."""
+        # default_section=None: [DEFAULT] is one more section, not inherited
+        parser = configparser.ConfigParser(default_section=None)
+        try:
+            if not parser.read(str(path)):
+                raise PipelineError(f"config file not found: {path}")
+            items = [item for section in parser.sections() for item in parser[section].items()]
+        except configparser.Error as exc:
+            raise PipelineError(f"config file {path}: {' '.join(str(exc).split())}") from None
         hints = get_type_hints(cls)
-        unknown = set(flat) - set(hints)
+        unknown = {name for name, _ in items} - set(hints)
         if unknown:
             raise PipelineError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{name: _INI_PARSERS[hints[name]](raw) for name, raw in flat.items()})
+        values = {}
+        for name, raw in items:
+            if name in values:
+                raise PipelineError(f"config file {path}: {name} is set in two sections")
+            try:
+                values[name] = _INI_PARSERS[hints[name]](raw)
+            except ValueError as exc:
+                raise PipelineError(f"config file {path}: {name} = {raw}: {exc}") from None
+        return cls(**values)
 
 
 @dataclass
@@ -176,12 +183,12 @@ def bootstrap(
     corpus: list[LogSequence],
     config: PipelineConfig,
     stopwords: Optional[frozenset[str]] = None,
-) -> tuple[KeywordSet, ClassifiedCorpus]:
-    """Initial keyword set and initial class split, from the seed keywords.
+) -> KeywordSet:
+    """Initial keyword set, from the seed keywords.
 
-    The seed keywords define the Anomaly class: sequences containing any
-    seed form the initial anomaly split, and the Normal keyword list is
-    extracted from the remainder. ``stopwords`` replaces the default
+    The seed keywords are the Anomaly list. The Normal list is ranked with
+    the sequences that hold no seed word as the Normal class and the rest
+    as the Anomaly class. ``stopwords`` replaces the default
     stopword list when given; ``run_pipeline`` loads it once from
     ``config.stopwords_path``.
     """
@@ -191,7 +198,7 @@ def bootstrap(
     if not seeds:
         raise PipelineError("seed_keywords is empty; the bootstrap needs at least one seed word")
     seed_set = set(seeds)
-    classified = [
+    classified: ClassifiedCorpus = [
         (seq, ANOMALY if seed_set.intersection(seq.tokens) else NORMAL) for seq in corpus
     ]
     n_hits = sum(1 for _, lbl in classified if lbl == ANOMALY)
@@ -207,8 +214,7 @@ def bootstrap(
     # Initial normal list kept as short as the seed list: symmetric list
     # sizes keep the term-frequency vote unbiased at cold start.
     normal_list = rank(scores[NORMAL], stopwords)[: len(seed_set)]
-    keywords = KeywordSet(normal=normal_list, anomaly=anomaly_list, iteration_index=0)
-    return keywords, classified
+    return KeywordSet(normal=normal_list, anomaly=anomaly_list, iteration_index=0)
 
 
 def run_iteration(
@@ -230,6 +236,8 @@ def run_iteration(
 
     ``prior`` holds the previous iteration's classifier labels by sequence
     id; fine-tuning uses them for sequences whose keyword vote is indecisive.
+    Without it, or in counting mode, the keyword vote pseudo-labels the
+    corpus and no graph is built.
     ``stopwords`` is as in ``bootstrap``. Returns the classifier's predictions
     on the corpus as the last element. Raises ``SingleClassError`` when the
     classifier predicts one class for every sequence.
@@ -239,7 +247,8 @@ def run_iteration(
     finetune_trace: list[float] = []
     annotator_model: Optional[ann.AnnotatorModel] = None
 
-    if config.annotator_mode == "counting":
+    # no prior: iteration 1, whose graph is too small for a GIN to add to the vote
+    if config.annotator_mode == "counting" or prior is None:
         pseudo = ann.vote_annotate(corpus, keywords)
     else:
         g = eg.build(keywords, corpus, config.cooccur_window)
@@ -346,7 +355,7 @@ def run_pipeline(
             raise PipelineError(f"sequence id {seq.id!r} is repeated; ids must be unique")
         ids.add(seq.id)
     stopwords = load_stopwords(config.stopwords_path) if config.stopwords_path else None
-    keywords, _ = bootstrap(corpus, config, stopwords)
+    keywords = bootstrap(corpus, config, stopwords)
     records: list[IterationRecord] = []
     classifier = None
     pseudo: list[ann.PseudoLabel] = []

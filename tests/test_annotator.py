@@ -389,7 +389,7 @@ class TestTraining:
     def test_finetune_reaches_vote_labels(self):
         corpus, ks, g, model = trainable_setup()
         trace = ann.finetune(model, corpus, g, ks, epochs=60, lr=1e-2,
-                             rng=np.random.default_rng(1))
+                             rng=np.random.default_rng(1), prior={})
         assert trace[-1] < trace[0]
         labels = ann.annotate(model, corpus, g)
         votes = {s.id: vote(s, ks).label for s in corpus}
@@ -398,7 +398,7 @@ class TestTraining:
     def test_finetune_zero_epochs_is_noop(self):
         corpus, ks, g, model = trainable_setup()
         before = {k: v.copy() for k, v in model.params.items()}
-        trace = ann.finetune(model, corpus, g, ks, epochs=0)
+        trace = ann.finetune(model, corpus, g, ks, epochs=0, prior={})
         assert trace == []
         assert all(np.array_equal(before[k], model.params[k]) for k in before)
 
@@ -406,7 +406,7 @@ class TestTraining:
         corpus, ks, g, model = trainable_setup()
         off_corpus = seqs(["unrelated", "words"])
         with pytest.raises(AnnotatorError):
-            ann.finetune(model, off_corpus, g, ks, epochs=1)
+            ann.finetune(model, off_corpus, g, ks, epochs=1, prior={})
 
     def test_finetune_margin_gates_out_ambiguous_votes(self):
         # a sequence with a bare-majority vote is skipped as a target: a
@@ -420,7 +420,7 @@ class TestTraining:
             g.features.shape[1], np.random.default_rng(0), 2, 8, g.vocab_hash
         )
         ann.finetune(model, corpus + [ambiguous], g, ks, epochs=60, lr=1e-2,
-                     rng=np.random.default_rng(1), margin=0.5)
+                     rng=np.random.default_rng(1), margin=0.5, prior={})
         labels = {pl.sequence_id: pl.label
                   for pl in ann.annotate(model, corpus, g)}
         votes = {s.id: vote(s, ks).label for s in corpus}
@@ -434,7 +434,7 @@ class TestTraining:
         assert (v.n, v.a) == (2, 3)
         assert v.margin == 0.2
         trace = ann.finetune(model, [three_two], g, ks, epochs=1,
-                             margin=PipelineConfig().finetune_margin)
+                             margin=PipelineConfig().finetune_margin, prior={})
         assert len(trace) == 1
 
     def test_finetune_prior_labels_indecisive_votes(self):
@@ -456,7 +456,7 @@ class TestTraining:
             return model
 
         amb_sg = induce_sequence_subgraph(g, ambiguous)
-        without = nn.softmax(forward(fitted(None), [amb_sg]))[0, ANOMALY]
+        without = nn.softmax(forward(fitted({}), [amb_sg]))[0, ANOMALY]
         with_prior = fitted({"amb": ANOMALY})
         assert nn.softmax(forward(with_prior, [amb_sg]))[0, ANOMALY] > max(without, 0.5)
         labels = {pl.sequence_id: pl.label
@@ -472,7 +472,7 @@ class TestTraining:
         corpus, ks, g, _ = trainable_setup()
         flipped = {s.id: 1 - vote(s, ks).label for s in corpus}
         params = []
-        for prior in (None, flipped):
+        for prior in ({}, flipped):
             model = AnnotatorModel.create(
                 g.features.shape[1], np.random.default_rng(0), 2, 8, g.vocab_hash
             )
@@ -505,13 +505,13 @@ class TestTraining:
             g.features.shape[1], np.random.default_rng(0), 2, 8, g.vocab_hash
         )
         with pytest.raises(AnnotatorError):
-            ann.finetune(model, corpus, g, ks, epochs=1, margin=0.5)
+            ann.finetune(model, corpus, g, ks, epochs=1, margin=0.5, prior={})
 
     def test_finetune_invalid_margin_rejected(self):
         corpus, ks, g, model = trainable_setup()
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(AnnotatorError):
-                ann.finetune(model, corpus, g, ks, epochs=1, margin=bad)
+                ann.finetune(model, corpus, g, ks, epochs=1, margin=bad, prior={})
 
     def test_pretrain_loss_decreases(self):
         corpus, ks, g, model = trainable_setup()
@@ -551,7 +551,7 @@ class TestTraining:
         corpus, ks, g, model = trainable_setup()
         model.params["head_W"][:] = np.nan
         with pytest.raises(nn.TrainingDiverged):
-            ann.finetune(model, corpus, g, ks, epochs=1)
+            ann.finetune(model, corpus, g, ks, epochs=1, prior={})
 
 
 class TestAnnotate:
@@ -634,7 +634,7 @@ class TestCheckpoint:
     def test_round_trip_preserves_forward(self, tmp_path):
         corpus, ks, g, model = trainable_setup()
         ann.finetune(model, corpus, g, ks, epochs=2, lr=1e-3,
-                     rng=np.random.default_rng(0))
+                     rng=np.random.default_rng(0), prior={})
         path = tmp_path / "annotator.npz"
         model.save(path)
         back = AnnotatorModel.load(path)

@@ -530,3 +530,47 @@ class TestOutputPathErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out_dir) in err
         assert out_dir.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command", ["synth", "ingest", "detect", "report", "eval"])
+    def test_out_in_a_missing_directory_exits_1_naming_it(
+        self, tmp_path, model_dir, capsys, command
+    ):
+        seqs = tmp_path / "seqs.jsonl"
+        ingest.write_jsonl(
+            [ingest.LogSequence(id="a", tokens=["fault0_trap"], gold_label=1),
+             ingest.LogSequence(id="b", tokens=["ok"], gold_label=0)],
+            seqs,
+        )
+        raw = tmp_path / "raw.log"
+        raw.write_text("alpha beta\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text('{"id": "a", "label": 1}\n')
+        run_dir = tmp_path / "trained"
+        assert run(train_args(seqs, run_dir, ["--seed-keywords", "fault0_trap"])) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "nodir" / "out"
+        argv = {
+            "synth": ["synth", "--n", "50"],
+            "ingest": ["ingest", "--input", str(raw), "--kind", "plain"],
+            "detect": ["detect", "--model-dir", str(model_dir), "--sequences", str(seqs)],
+            "report": ["report", "--run-dir", str(run_dir)],
+            "eval": ["eval", "--predictions", str(preds), "--gold", str(seqs)],
+        }[command]
+        assert run([*argv, "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: output path is in no existing directory: {out}\n"
+        assert captured.out == ""
+        assert not out.parent.exists()
+
+    def test_detect_checks_out_before_reading(self, tmp_path, model_dir, monkeypatch):
+        path = tmp_path / "seqs.jsonl"
+        ingest.write_jsonl(random_sequences(10), path)
+        monkeypatch.setattr(ingest, "iter_jsonl", lambda *a: pytest.fail("input was read"))
+        assert detect(model_dir, path, tmp_path) == EXIT_ERROR
+
+    def test_missing_stopwords_file_stays_a_missing_input(self, tmp_path, synth_corpus, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[pipeline]\nstopwords_path = {tmp_path / 'absent.txt'}\n")
+        code = run(train_args(synth_corpus, tmp_path / "run", ["--config", str(config)]))
+        assert code == EXIT_MISSING_INPUT
+        assert "absent.txt" in capsys.readouterr().err

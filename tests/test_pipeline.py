@@ -126,6 +126,20 @@ class TestConfig:
         with pytest.raises(PipelineError):
             PipelineConfig.from_ini(tmp_path / "absent.ini")
 
+    @pytest.mark.parametrize("text, named", [
+        ("keywords_per_class = 50\n", "no section headers"),
+        ("[pipeline]\nseed = 1\nseed = 2\n", "option 'seed' in section 'pipeline' already exists"),
+        ("[pipeline]\nseed = 1\n[model]\nseed = 2\n", "seed is set in two sections"),
+        ("[DEFAULT]\nseed = 1\n[pipeline]\nseed = 2\n", "seed is set in two sections"),
+        ("[model]\ngin_layers = three\n", "gin_layers = three: invalid literal for int()"),
+    ])
+    def test_from_ini_malformed_file_names_file_and_key(self, tmp_path, text, named):
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        with pytest.raises(PipelineError, match=re.escape(f"config file {path}: ")) as err:
+            PipelineConfig.from_ini(path)
+        assert named in str(err.value)
+
 
 class TestStripGold:
     def test_removes_labels_keeps_content(self):
@@ -140,22 +154,27 @@ class TestStripGold:
         assert corpus_hash(a) == corpus_hash(b)
 
 
+def seed_split(corpus, seeds):
+    return [(seq, ANOMALY if set(seeds) & set(seq.tokens) else NORMAL) for seq in corpus]
+
+
 class TestBootstrap:
     def test_seeded_anomaly_list_is_exactly_seeds(self):
         corpus, spec = tiny_corpus()
         cfg = fast_config()
-        keywords, classified = bootstrap(strip_gold(corpus), cfg)
+        keywords = bootstrap(strip_gold(corpus), cfg)
         assert sorted(w for w, _ in keywords.anomaly) == sorted(cfg.seed_keywords)
         assert keywords.iteration_index == 0
         assert len(keywords.normal) == len(keywords.anomaly)
 
-    def test_seeded_split_marks_seed_sequences(self):
+    def test_normal_list_ranked_from_sequences_without_a_seed_word(self):
         corpus, _ = tiny_corpus()
         cfg = fast_config()
-        _, classified = bootstrap(strip_gold(corpus), cfg)
-        seeds = set(cfg.seed_keywords)
-        for seq, label in classified:
-            assert label == (ANOMALY if seeds & set(seq.tokens) else NORMAL)
+        keywords = bootstrap(strip_gold(corpus), cfg)
+        split = seed_split(corpus, cfg.seed_keywords)
+        seed_free = set().union(*(seq.tokens for seq, label in split if label == NORMAL))
+        assert keywords.normal
+        assert all(w in seed_free for w in keywords.class_words(NORMAL))
 
     @pytest.mark.parametrize("stopwords", [None, frozenset({"svc10_ok"})])
     def test_one_score_pass_gives_extract_tops_normal_list(self, monkeypatch, stopwords):
@@ -170,9 +189,10 @@ class TestBootstrap:
 
         monkeypatch.setattr(pl, "score", counted)
         monkeypatch.setattr(kw, "score", counted)
-        keywords, classified = bootstrap(strip_gold(corpus), cfg, stopwords)
+        keywords = bootstrap(strip_gold(corpus), cfg, stopwords)
         assert len(passes) == 1
-        expected = extract_top(classified, len(keywords.anomaly), cfg.idf_exponent, stopwords)
+        split = seed_split(corpus, cfg.seed_keywords)
+        expected = extract_top(split, len(keywords.anomaly), cfg.idf_exponent, stopwords)
         assert keywords.normal == expected.normal
 
     def test_seeded_requires_seeds(self):
@@ -221,12 +241,14 @@ class TestRunPipeline:
         assert all(r.pretrain_trace == [] and r.finetune_trace == [] for r in result.records)
 
     def test_full_mode_trains_annotator(self):
+        # iteration 1 labels by the vote; the annotator trains from iteration 2
         corpus, _ = tiny_corpus()
-        cfg = fast_config(annotator_mode="full", max_iterations=1, gin_hidden=8)
+        cfg = fast_config(annotator_mode="full", max_iterations=2, gin_hidden=16)
         result = run_pipeline(corpus, cfg)
         assert result.final_annotator is not None
-        assert len(result.records[0].pretrain_trace) > 0
-        assert len(result.records[0].finetune_trace) > 0
+        assert result.records[0].pretrain_trace == result.records[0].finetune_trace == []
+        assert len(result.records[1].pretrain_trace) > 0
+        assert len(result.records[1].finetune_trace) > 0
 
     def test_repeated_id_rejected_before_bootstrap(self, tmp_path, monkeypatch):
         corpus, _ = tiny_corpus()
@@ -238,27 +260,29 @@ class TestRunPipeline:
 
     def test_walk_failure_fails_the_run_cleanly(self, tmp_path):
         # "the", "a" and "of" are stopwords, so the Normal keyword list is
-        # empty and the walk sampler has no Normal start vertex
+        # empty and iteration 2's walk sampler has no Normal start vertex
         corpus = [
-            LogSequence(id="a", tokens=["fault0_trap", "x", "y"]),
-            LogSequence(id="b", tokens=["the", "a"]),
-            LogSequence(id="c", tokens=["of", "the"]),
+            *(LogSequence(id=f"a{i}", tokens=["fault0_trap", "x", "y"]) for i in range(10)),
+            *(LogSequence(id=f"b{i}", tokens=["the", "a"]) for i in range(5)),
+            *(LogSequence(id=f"c{i}", tokens=["of", "the"]) for i in range(5)),
         ]
-        cfg = fast_config(annotator_mode="full", seed_keywords=["fault0_trap"])
+        cfg = fast_config(
+            annotator_mode="full", seed_keywords=["fault0_trap"], classifier_epochs=30
+        )
         with pytest.raises(PipelineError, match="class 0 has no keyword present in the graph"):
             run_pipeline(corpus, cfg, out_dir=tmp_path)
-        assert json.loads((tmp_path / "failure.json").read_text())["iteration"] == 1
+        assert json.loads((tmp_path / "failure.json").read_text())["iteration"] == 2
 
     def test_finetune_prior_is_previous_iteration_predictions(self, monkeypatch):
-        # iteration 1 fine-tunes without prior labels (the bootstrap split
-        # is no classifier output); iteration k gets exactly the labels
-        # iteration k-1's trained classifier predicts on the corpus
+        # iteration 1 has no classifier labels yet and labels by the vote,
+        # so fine-tuning never runs without a prior; iteration k gets exactly
+        # the labels iteration k-1's trained classifier predicts on the corpus
         corpus, _ = tiny_corpus()
         priors, classifiers = [], []
         finetune, train = pl.ann.finetune, pl.clf.train
 
-        def capture_prior(*args, prior=None, **kwargs):
-            priors.append(None if prior is None else dict(prior))
+        def capture_prior(*args, prior, **kwargs):
+            priors.append(dict(prior))
             return finetune(*args, prior=prior, **kwargs)
 
         def capture_classifier(model, *args, **kwargs):
@@ -267,7 +291,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(pl.ann, "finetune", capture_prior)
         monkeypatch.setattr(pl.clf, "train", capture_classifier)
-        # at 8 hidden units iteration 1 predicts all-Normal on this corpus,
+        # at 8 hidden units iteration 2 predicts all-Normal on this corpus,
         # which ends the run; at 16 both classes stay alive for three
         # iterations and the predictions change from one to the next
         cfg = fast_config(
@@ -275,12 +299,11 @@ class TestRunPipeline:
         )
         stripped = strip_gold(corpus)
         result = run_pipeline(corpus, cfg)
-        assert len(result.records) == 3 and len(priors) == 3 and len(classifiers) == 3
-        assert priors[0] is None
-        assert priors[1] != priors[2]
+        assert len(result.records) == 3 and len(priors) == 2 and len(classifiers) == 3
+        assert priors[0] != priors[1]
         for k in (2, 3):
             expected = {sid: label for sid, label, _ in pl.clf.predict(classifiers[k - 2], stripped)}
-            assert priors[k - 1] == expected
+            assert priors[k - 2] == expected
         assert result.predictions == pl.clf.predict(classifiers[-1], stripped)
 
     def single_class_from(self, monkeypatch, iteration):
@@ -332,10 +355,24 @@ class TestRunPipeline:
 
     def test_no_selfsup_skips_pretraining(self):
         corpus, _ = tiny_corpus()
-        cfg = fast_config(annotator_mode="no_selfsup", max_iterations=1, gin_hidden=8)
+        cfg = fast_config(annotator_mode="no_selfsup", max_iterations=2, gin_hidden=16)
         result = run_pipeline(corpus, cfg)
-        assert result.records[0].pretrain_trace == []
-        assert len(result.records[0].finetune_trace) > 0
+        assert result.records[1].pretrain_trace == []
+        assert len(result.records[1].finetune_trace) > 0
+
+    def test_first_iteration_labels_by_the_vote_in_every_mode(self, tmp_path):
+        # without previous classifier labels no mode builds a graph or trains
+        # an annotator, so one iteration writes counting mode's bytes
+        corpus, _ = tiny_corpus()
+        names = ["keywords_001.json", "pseudo_labels_001.jsonl", "predictions_001.jsonl",
+                 "model/classifier.npz"]
+        runs = {}
+        for mode in pl.ANNOTATOR_MODES:
+            out = tmp_path / mode
+            run_pipeline(corpus, fast_config(annotator_mode=mode, max_iterations=1), out_dir=out)
+            assert not (out / "model" / "annotator.npz").exists()
+            runs[mode] = [(out / name).read_bytes() for name in names]
+        assert runs["full"] == runs["no_selfsup"] == runs["counting"]
 
 
 class TestDeterminism:
@@ -431,8 +468,12 @@ class TestArtifacts:
             assert entry["loss"]["classifier"] == {
                 "first": trace[0], "min": min(trace), "last": trace[-1]
             }
-            assert entry["loss"]["finetune"]["last"] == record.finetune_trace[-1]
             assert entry["loss"]["pretrain"] is None  # no_selfsup takes no pre-training step
+        # iteration 1 labels by the vote and fine-tunes nothing
+        assert manifest["iterations"][0]["loss"]["finetune"] is None
+        assert len(manifest["iterations"]) > 1
+        for entry, record in zip(manifest["iterations"][1:], result.records[1:]):
+            assert entry["loss"]["finetune"]["last"] == record.finetune_trace[-1]
 
     def test_manifest_keeps_flagged_counts_and_keyword_warnings(self, tmp_path):
         # Z=1000 is more than either class has candidates, so every
