@@ -53,7 +53,7 @@ def graph_setup(corpus, classified):
         walks.fit_length_model(train, keywords),
         np.random.default_rng(0),
     )
-    model = ann.AnnotatorModel.create(g.feature_dim, np.random.default_rng(1), vocab_hash=g.vocab_hash)
+    model = ann.AnnotatorModel.create(g.feature_dim, np.random.default_rng(1))
     return train, g, sampler, model
 
 

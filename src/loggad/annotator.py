@@ -47,9 +47,7 @@ class AnnotatorError(ValueError):
 class AnnotatorModel:
     params: nn.Params
     n_layers: int
-    hidden: int
     in_dim: int
-    vocab_hash: str
 
     @classmethod
     def create(
@@ -58,7 +56,6 @@ class AnnotatorModel:
         rng: np.random.Generator,
         n_layers: int = 3,
         hidden: int = 64,
-        vocab_hash: str = "",
     ) -> "AnnotatorModel":
         params: nn.Params = {}
         d = in_dim
@@ -71,39 +68,7 @@ class AnnotatorModel:
             d = hidden
         params["head_W"] = nn.xavier(rng, in_dim + n_layers * hidden, 2)
         params["head_b"] = np.zeros(2)
-        return cls(
-            params=params,
-            n_layers=n_layers,
-            hidden=hidden,
-            in_dim=in_dim,
-            vocab_hash=vocab_hash,
-        )
-
-    def save(self, path) -> None:
-        nn.save_checkpoint(
-            path,
-            self.params,
-            {
-                "kind": "annotator",
-                "n_layers": self.n_layers,
-                "hidden": self.hidden,
-                "in_dim": self.in_dim,
-                "vocab_hash": self.vocab_hash,
-            },
-        )
-
-    @classmethod
-    def load(cls, path) -> "AnnotatorModel":
-        params, meta = nn.load_checkpoint(path)
-        if meta.get("kind") != "annotator":
-            raise AnnotatorError(f"not an annotator checkpoint: {meta.get('kind')}")
-        return cls(
-            params=params,
-            n_layers=meta["n_layers"],
-            hidden=meta["hidden"],
-            in_dim=meta["in_dim"],
-            vocab_hash=meta["vocab_hash"],
-        )
+        return cls(params=params, n_layers=n_layers, in_dim=in_dim)
 
 
 @dataclass
@@ -312,7 +277,6 @@ def finetune(
     Abstaining sequences (no keywords, hence empty subgraphs) are skipped.
     Mutates the model in place and returns the loss trace.
     """
-    _check_graph_match(model, graph)
     if not 0.0 <= margin < 1.0:
         raise AnnotatorError(f"margin must be in [0, 1), got {margin}")
     pairs = []
@@ -349,7 +313,6 @@ def annotate(
     on the corpus the graph was built from its keyword vote abstains too;
     it gets Normal with confidence 0.5 and is flagged.
     """
-    _check_graph_match(model, graph)
     labels = []
     for start in range(0, len(corpus), ANNOTATE_BLOCK):
         block = corpus[start : start + ANNOTATE_BLOCK]
@@ -365,10 +328,3 @@ def annotate(
             labels.append(PseudoLabel(seq.id, label, float(row[label])))
     return labels
 
-
-def _check_graph_match(model: AnnotatorModel, graph: EventGraph) -> None:
-    if model.vocab_hash and model.vocab_hash != graph.vocab_hash:
-        raise AnnotatorError(
-            "annotator was trained against a different graph vocabulary "
-            f"({model.vocab_hash[:12]} != {graph.vocab_hash[:12]})"
-        )

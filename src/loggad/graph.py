@@ -12,7 +12,6 @@ one-hot vertex index.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -77,13 +76,6 @@ class EventGraph:
 
     def class_vertices(self, class_t: int) -> np.ndarray:
         return np.flatnonzero(self.class_flags[:, class_t] > 0)
-
-    @cached_property
-    def vocab_hash(self) -> str:
-        payload = json.dumps(
-            {"words": self.words, "flags": self.class_flags.tolist()}, sort_keys=True
-        ).encode()
-        return hashlib.sha256(payload).hexdigest()
 
     def to_json(self) -> str:
         freq = np.triu(self.frequency)

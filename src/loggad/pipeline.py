@@ -105,14 +105,17 @@ class PipelineConfig:
         if self.annotator_mode not in ANNOTATOR_MODES:
             raise PipelineError(f"annotator_mode must be one of {ANNOTATOR_MODES}")
         for name, kind in get_type_hints(type(self)).items():  # every size and count
-            if kind is int and name != "seed" and getattr(self, name) < 1:
-                raise PipelineError(f"{name} must be >= 1, got {getattr(self, name)}")
+            floor = 0 if name == "seed" else 1
+            if kind is int and getattr(self, name) < floor:
+                raise PipelineError(f"{name} must be >= {floor}, got {getattr(self, name)}")
         for name in ("annotator_lr", "finetune_lr", "classifier_lr"):
             lr = getattr(self, name)
             if not (math.isfinite(lr) and lr > 0):
                 raise PipelineError(f"{name} must be finite and > 0, got {lr}")
         if not 0.0 <= self.finetune_margin < 1.0:
             raise PipelineError(f"finetune_margin must be in [0, 1), got {self.finetune_margin}")
+        if math.isnan(self.drift_threshold):  # gamma < nan never holds: the run could not converge
+            raise PipelineError("drift_threshold must be a number, got nan")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -166,7 +169,6 @@ class PipelineResult:
     predictions: list[tuple[str, int, float]]
     pseudo_labels: list[ann.PseudoLabel]
     converged: bool
-    final_annotator: Optional[ann.AnnotatorModel] = None
     stop_reason: Optional[str] = None  # set when a degenerate iteration ended the run early
 
 
@@ -225,12 +227,7 @@ def run_iteration(
     prior: Optional[dict[str, int]] = None,
     stopwords: Optional[frozenset[str]] = None,
 ) -> tuple[
-    KeywordSet,
-    IterationRecord,
-    clf.ClassifierModel,
-    list[ann.PseudoLabel],
-    Optional[ann.AnnotatorModel],
-    list[tuple[str, int, float]],
+    IterationRecord, clf.ClassifierModel, list[ann.PseudoLabel], list[tuple[str, int, float]]
 ]:
     """One loop pass: graph, annotator, pseudo labels, classifier, keywords.
 
@@ -238,14 +235,14 @@ def run_iteration(
     id; fine-tuning uses them for sequences whose keyword vote is indecisive.
     Without it, or in counting mode, the keyword vote pseudo-labels the
     corpus and no graph is built.
-    ``stopwords`` is as in ``bootstrap``. Returns the classifier's predictions
-    on the corpus as the last element. Raises ``SingleClassError`` when the
-    classifier predicts one class for every sequence.
+    ``stopwords`` is as in ``bootstrap``. The annotator lives only inside
+    this call; only its pseudo-labels leave it. The record holds the new
+    keywords. Raises ``SingleClassError`` when the classifier predicts one
+    class for every sequence.
     """
     start = time.perf_counter()
     pretrain_trace: list[float] = []
     finetune_trace: list[float] = []
-    annotator_model: Optional[ann.AnnotatorModel] = None
 
     # no prior: iteration 1, whose graph is too small for a GIN to add to the vote
     if config.annotator_mode == "counting" or prior is None:
@@ -257,7 +254,6 @@ def run_iteration(
             rng=_rng(config.seed, iteration, 1),
             n_layers=config.gin_layers,
             hidden=config.gin_hidden,
-            vocab_hash=g.vocab_hash,
         )
         if config.annotator_mode == "full":
             length_model = walks.fit_length_model(corpus, keywords, l_max=config.walk_max_length)
@@ -331,7 +327,7 @@ def run_iteration(
         classifier_trace=classifier_trace,
         seconds=time.perf_counter() - start,
     )
-    return new_keywords, record, classifier, pseudo, annotator_model, predictions
+    return record, classifier, pseudo, predictions
 
 
 def run_pipeline(
@@ -339,7 +335,11 @@ def run_pipeline(
     config: PipelineConfig,
     out_dir: Optional[str | Path] = None,
 ) -> PipelineResult:
-    """Full iterative run; optionally writes a replayable manifest directory.
+    """Full iterative run; optionally writes a run directory.
+
+    The run directory holds the manifest and each iteration's keywords,
+    pseudo-labels and predictions; of the models only the final classifier
+    is saved, under ``model/``, for ``loggad detect`` to replay.
 
     When an iteration after the first ends with a classifier that predicts a
     single class, the run stops there and returns the previous iteration's
@@ -361,7 +361,6 @@ def run_pipeline(
     pseudo: list[ann.PseudoLabel] = []
     predictions: list[tuple[str, int, float]] = []
     prior: Optional[dict[str, int]] = None
-    final_annotator = None
     converged = False
     stop_reason = None
     out = Path(out_dir) if out_dir is not None else None
@@ -371,7 +370,7 @@ def run_pipeline(
 
     for iteration in range(1, config.max_iterations + 1):
         try:
-            keywords, record, classifier, pseudo, final_annotator, predictions = run_iteration(
+            record, classifier, pseudo, predictions = run_iteration(
                 corpus, keywords, config, iteration, prior=prior, stopwords=stopwords
             )
         except (
@@ -387,6 +386,7 @@ def run_pipeline(
                 )
             raise PipelineError(f"iteration {iteration} failed: {exc}") from exc
         records.append(record)
+        keywords = record.keywords
         if out is not None:
             _write_iteration_artifacts(out, record, pseudo, predictions)
         if record.gamma < config.drift_threshold:
@@ -402,7 +402,6 @@ def run_pipeline(
         predictions=predictions,
         pseudo_labels=pseudo,
         converged=converged,
-        final_annotator=final_annotator,
         stop_reason=stop_reason,
     )
     if out is not None:
@@ -451,8 +450,6 @@ def _write_manifest(out: Path, config: PipelineConfig, corpus, result: PipelineR
     model_dir = out / "model"
     model_dir.mkdir(exist_ok=True)
     result.classifier.save(model_dir / "classifier.npz")
-    if result.final_annotator is not None:
-        result.final_annotator.save(model_dir / "annotator.npz")
     manifest = {
         "tool_version": __version__,
         "config": config.to_dict(),

@@ -154,9 +154,7 @@ class TestGradientCorrectness:
         for _ in range(20):
             g = random_graph(rng, n=int(rng.integers(2, 6)))
             sg = random_subgraph(rng, g)
-            model = AnnotatorModel.create(
-                g.features.shape[1], rng, n_layers=2, hidden=4, vocab_hash=g.vocab_hash
-            )
+            model = AnnotatorModel.create(g.features.shape[1], rng, n_layers=2, hidden=4)
             for arr in model.params.values():
                 arr += rng.normal(0, 0.05, size=arr.shape)
             target = int(rng.integers(0, 2))
@@ -300,9 +298,7 @@ class TestGinInvariants:
         for _ in range(100):
             g = random_graph(rng, n=int(rng.integers(2, 8)))
             sg = random_subgraph(rng, g)
-            model = AnnotatorModel.create(
-                g.features.shape[1], rng, n_layers=3, hidden=8, vocab_hash=g.vocab_hash
-            )
+            model = AnnotatorModel.create(g.features.shape[1], rng, n_layers=3, hidden=8)
             base = forward(model, [sg])
             perm = rng.permutation(sg.n_vertices)
             view = PermutedView(
@@ -321,9 +317,7 @@ class TestGinInvariants:
             words=["a", "b", "c"], class_flags=np.ones((3, 2)), frequency=frequency_matrix(3, {})
         )
         sg = Subgraph(graph=g, vertex_ids=np.array([0, 1, 2]))
-        model = AnnotatorModel.create(
-            g.features.shape[1], rng, n_layers=3, hidden=8, vocab_hash=g.vocab_hash
-        )
+        model = AnnotatorModel.create(g.features.shape[1], rng, n_layers=3, hidden=8)
         p = model.params
         for arr in p.values():
             arr += rng.normal(0, 0.05, size=arr.shape)

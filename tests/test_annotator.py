@@ -91,9 +91,7 @@ class TestGradients:
         while checked < 20:
             g = random_graph(rng, n=int(rng.integers(2, 6)))
             sg = random_subgraph(rng, g)
-            model = AnnotatorModel.create(
-                g.features.shape[1], rng, n_layers=2, hidden=5, vocab_hash=g.vocab_hash
-            )
+            model = AnnotatorModel.create(g.features.shape[1], rng, n_layers=2, hidden=5)
             # move off the zero init so eps/bias gradients are generic
             for k, v in model.params.items():
                 v += rng.normal(0, 0.05, size=v.shape)
@@ -110,7 +108,7 @@ class TestGradients:
         rng = np.random.default_rng(3)
         g = random_graph(rng)
         sg = Subgraph(graph=g, vertex_ids=np.arange(g.n_vertices))
-        model = AnnotatorModel.create(g.features.shape[1], rng, 2, 8, g.vocab_hash)
+        model = AnnotatorModel.create(g.features.shape[1], rng, 2, 8)
         logits = forward(model, [sg])
         for target in (0, 1):
             loss, _ = loss_and_grads(model, [sg], [target])
@@ -123,9 +121,7 @@ def rel_err(a, b):
 
 
 def perturbed_model(rng, g):
-    model = AnnotatorModel.create(
-        g.features.shape[1], rng, n_layers=3, hidden=6, vocab_hash=g.vocab_hash
-    )
+    model = AnnotatorModel.create(g.features.shape[1], rng, n_layers=3, hidden=6)
     # move off the zero init so eps/bias gradients are generic
     for v in model.params.values():
         v += rng.normal(0, 0.05, size=v.shape)
@@ -206,7 +202,7 @@ class TestPermutationInvariance:
         for _ in range(100):
             g = random_graph(rng, n=int(rng.integers(2, 8)))
             sg = random_subgraph(rng, g)
-            model = AnnotatorModel.create(g.features.shape[1], rng, 3, 8, g.vocab_hash)
+            model = AnnotatorModel.create(g.features.shape[1], rng, 3, 8)
             base = forward(model, [sg])
             perm = rng.permutation(sg.n_vertices)
             view = PermutedView(
@@ -227,9 +223,7 @@ class TestLayerOracles:
             words=["a", "b"], class_flags=np.ones((2, 2)), frequency=frequency_matrix(2, {})
         )
         sg = Subgraph(graph=g, vertex_ids=np.array([0, 1]))
-        model = AnnotatorModel.create(
-            g.features.shape[1], rng, n_layers=3, hidden=8, vocab_hash=g.vocab_hash
-        )
+        model = AnnotatorModel.create(g.features.shape[1], rng, n_layers=3, hidden=8)
         p = model.params
         for v in p.values():
             v += rng.normal(0, 0.05, size=v.shape)
@@ -251,7 +245,7 @@ class TestLayerOracles:
         rng = np.random.default_rng(6)
         g = random_graph(rng, n=5, p_edge=0.7)
         sg = Subgraph(graph=g, vertex_ids=np.arange(5))
-        model = AnnotatorModel.create(g.features.shape[1], rng, 2, 4, g.vocab_hash)
+        model = AnnotatorModel.create(g.features.shape[1], rng, 2, 4)
         p = model.params
         for v in p.values():
             v += rng.normal(0, 0.05, size=v.shape)
@@ -270,7 +264,7 @@ class TestForwardOracle:
         rng = np.random.default_rng(9)
         g = random_graph(rng, n=5)
         sg = random_subgraph(rng, g)
-        model = AnnotatorModel.create(g.features.shape[1], rng, 2, 6, g.vocab_hash)
+        model = AnnotatorModel.create(g.features.shape[1], rng, 2, 6)
         p = model.params
         # straight-line recompute with explicit per-node loops
         reps = [sg.features.copy()]
@@ -295,7 +289,7 @@ class TestForwardOracle:
     def test_empty_subgraph_rejected(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng)
-        model = AnnotatorModel.create(g.features.shape[1], rng, 2, 4, g.vocab_hash)
+        model = AnnotatorModel.create(g.features.shape[1], rng, 2, 4)
         with pytest.raises(AnnotatorError):
             forward(model, [Subgraph(graph=g, vertex_ids=np.array([], dtype=np.int64))])
 
@@ -381,7 +375,7 @@ def trainable_setup(seed=0):
     ks = kwset(["ok", "up"], ["fail", "trap"])
     g = build(ks, corpus, 10)
     rng = np.random.default_rng(seed)
-    model = AnnotatorModel.create(g.features.shape[1], rng, 2, 8, g.vocab_hash)
+    model = AnnotatorModel.create(g.features.shape[1], rng, 2, 8)
     return corpus, ks, g, model
 
 
@@ -416,9 +410,7 @@ class TestTraining:
         ambiguous = LogSequence(id="amb", tokens=["fail", "ok", "up", "trap", "up"])
         assert vote(ambiguous, ks).label == NORMAL  # 2 vs 3, margin 0.2
         assert vote(ambiguous, ks).margin == pytest.approx(0.2)
-        model = AnnotatorModel.create(
-            g.features.shape[1], np.random.default_rng(0), 2, 8, g.vocab_hash
-        )
+        model = AnnotatorModel.create(g.features.shape[1], np.random.default_rng(0), 2, 8)
         ann.finetune(model, corpus + [ambiguous], g, ks, epochs=60, lr=1e-2,
                      rng=np.random.default_rng(1), margin=0.5, prior={})
         labels = {pl.sequence_id: pl.label
@@ -448,9 +440,7 @@ class TestTraining:
         assert vote(ambiguous, ks).margin < 0.5
 
         def fitted(prior):
-            model = AnnotatorModel.create(
-                g.features.shape[1], np.random.default_rng(0), 2, 8, g.vocab_hash
-            )
+            model = AnnotatorModel.create(g.features.shape[1], np.random.default_rng(0), 2, 8)
             ann.finetune(model, corpus + [ambiguous], g, ks, epochs=60, lr=1e-2,
                          rng=np.random.default_rng(1), margin=0.5, prior=prior)
             return model
@@ -473,9 +463,7 @@ class TestTraining:
         flipped = {s.id: 1 - vote(s, ks).label for s in corpus}
         params = []
         for prior in ({}, flipped):
-            model = AnnotatorModel.create(
-                g.features.shape[1], np.random.default_rng(0), 2, 8, g.vocab_hash
-            )
+            model = AnnotatorModel.create(g.features.shape[1], np.random.default_rng(0), 2, 8)
             ann.finetune(model, corpus, g, ks, epochs=5, lr=1e-2,
                          rng=np.random.default_rng(1), margin=0.5, prior=prior)
             params.append(model.params)
@@ -487,9 +475,7 @@ class TestTraining:
         _, ks, _, _ = trainable_setup()
         corpus = seqs(["ok", "up", "fail"], ["trap", "fail", "ok"])
         g = build(ks, corpus, 10)
-        model = AnnotatorModel.create(
-            g.features.shape[1], np.random.default_rng(0), 2, 8, g.vocab_hash
-        )
+        model = AnnotatorModel.create(g.features.shape[1], np.random.default_rng(0), 2, 8)
         trace = ann.finetune(model, corpus, g, ks, epochs=1, margin=0.5,
                              prior={"s0": NORMAL, "s1": ANOMALY})
         assert len(trace) == 1
@@ -501,9 +487,7 @@ class TestTraining:
         _, ks, _, _ = trainable_setup()
         corpus = seqs(["ok", "up", "fail"], ["trap", "fail", "ok"])
         g = build(ks, corpus, 10)
-        model = AnnotatorModel.create(
-            g.features.shape[1], np.random.default_rng(0), 2, 8, g.vocab_hash
-        )
+        model = AnnotatorModel.create(g.features.shape[1], np.random.default_rng(0), 2, 8)
         with pytest.raises(AnnotatorError):
             ann.finetune(model, corpus, g, ks, epochs=1, margin=0.5, prior={})
 
@@ -585,13 +569,6 @@ class TestAnnotate:
             shared += bool(set(ks.class_words(NORMAL)) & set(ks.class_words(ANOMALY)))
         assert checked > 100 and shared > 50
 
-    def test_vocab_hash_mismatch_rejected(self):
-        corpus, ks, g, model = trainable_setup()
-        other = build(kwset(["ok"], ["fail"]), corpus, 10)
-        assert other.vocab_hash != g.vocab_hash
-        with pytest.raises(AnnotatorError):
-            ann.annotate(model, corpus, other)
-
     def test_labels_cover_corpus_in_order(self):
         corpus, ks, g, model = trainable_setup()
         labels = ann.annotate(model, corpus, g)
@@ -628,37 +605,3 @@ class TestAnnotate:
             scored += 1
         assert 0 < scored < len(many)
         assert len({pl.label for pl in labels if not pl.flagged}) == 2
-
-
-class TestCheckpoint:
-    def test_round_trip_preserves_forward(self, tmp_path):
-        corpus, ks, g, model = trainable_setup()
-        ann.finetune(model, corpus, g, ks, epochs=2, lr=1e-3,
-                     rng=np.random.default_rng(0), prior={})
-        path = tmp_path / "annotator.npz"
-        model.save(path)
-        back = AnnotatorModel.load(path)
-        assert back.vocab_hash == model.vocab_hash
-        from loggad.graph import induce_sequence_subgraph
-
-        sg = induce_sequence_subgraph(g, corpus[0])
-        assert np.array_equal(forward(back, [sg]), forward(model, [sg]))
-
-    def test_checkpoint_with_identity_mode_key_loads(self, tmp_path):
-        # annotator checkpoints once carried an "identity_mode": false
-        # metadata key; such a file still loads and scores the same
-        corpus, ks, g, model = trainable_setup()
-        path = tmp_path / "annotator.npz"
-        nn.save_checkpoint(path, model.params, {
-            "kind": "annotator", "n_layers": model.n_layers, "hidden": model.hidden,
-            "in_dim": model.in_dim, "vocab_hash": model.vocab_hash, "identity_mode": False,
-        })
-        back = AnnotatorModel.load(path)
-        sgs = [induce_sequence_subgraph(g, seq) for seq in corpus]
-        assert np.array_equal(forward(back, sgs), forward(model, sgs))
-
-    def test_wrong_kind_rejected(self, tmp_path):
-        path = tmp_path / "other.npz"
-        nn.save_checkpoint(path, {"w": np.ones(2)}, {"kind": "classifier"})
-        with pytest.raises(AnnotatorError):
-            AnnotatorModel.load(path)

@@ -327,6 +327,15 @@ class TestTrainDetectReportEval:
         assert code == EXIT_ERROR
         assert f"{field} must be >= 1, got 0" in capsys.readouterr().err
 
+    def test_negative_seed_exits_1_naming_it_and_writes_nothing(self, tmp_path, synth_corpus,
+                                                               capsys):
+        run_dir = tmp_path / "run"
+        argv = train_args(synth_corpus, run_dir)
+        argv[argv.index("--seed") + 1] = "-1"
+        assert run(argv) == EXIT_ERROR
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_zero_classifier_lr_exits_1_naming_the_field(self, tmp_path, synth_corpus, capsys):
         ini = tmp_path / "cfg.ini"
         ini.write_text("[pipeline]\nclassifier_lr = 0\n")

@@ -193,11 +193,6 @@ class TestInvariants:
         with pytest.raises(GraphError):
             EventGraph(words=["a"], class_flags=np.zeros((1, 2)), frequency=frequency_matrix(1, {}))
 
-    def test_vocab_hash_changes_with_words(self):
-        g1 = EventGraph(words=["a"], class_flags=np.ones((1, 2)), frequency=frequency_matrix(1, {}))
-        g2 = EventGraph(words=["b"], class_flags=np.ones((1, 2)), frequency=frequency_matrix(1, {}))
-        assert g1.vocab_hash != g2.vocab_hash
-
 
 class TestTransitionProbabilities:
     def test_eq6_normalization(self):

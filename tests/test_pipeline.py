@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from loggad import cli, ingest
 from loggad import evaluation as ev
 from loggad import keywords as kw
 from loggad import pipeline as pl
@@ -60,16 +61,28 @@ class TestConfig:
         with pytest.raises(PipelineError):
             PipelineConfig(annotator_mode="votes")
 
-    @pytest.mark.parametrize("name, value", [
-        ("annotator_lr", -1.0), ("finetune_lr", float("nan")), ("classifier_lr", 0.0),
-        ("classifier_lr", float("inf")), ("finetune_margin", 1.5), ("finetune_margin", 1.0),
-        ("finetune_margin", -0.1),
+    @pytest.mark.parametrize("name, value, rule", [
+        ("annotator_lr", -1.0, "finite and > 0"), ("finetune_lr", float("nan"), "finite and > 0"),
+        ("classifier_lr", 0.0, "finite and > 0"), ("classifier_lr", float("inf"), "finite and > 0"),
+        ("finetune_margin", 1.5, "in [0, 1)"), ("finetune_margin", 1.0, "in [0, 1)"),
+        ("finetune_margin", -0.1, "in [0, 1)"), ("seed", -1, ">= 0"), ("seed", -7, ">= 0"),
+        ("drift_threshold", float("nan"), "a number"),
     ])
-    def test_untrainable_rate_or_margin_rejected(self, name, value):
+    @pytest.mark.parametrize("from_ini", [False, True], ids=["dataclass", "from_ini"])
+    def test_unusable_value_rejected_naming_the_field(self, tmp_path, name, value, rule, from_ini):
         # counting mode never fine-tunes, yet the config is still rejected
-        rule = "in [0, 1)" if name == "finetune_margin" else "finite and > 0"
         with pytest.raises(PipelineError, match=re.escape(f"{name} must be {rule}, got {value}")):
-            PipelineConfig(annotator_mode="counting", **{name: value})
+            if from_ini:
+                path = tmp_path / "run.ini"
+                path.write_text(f"[pipeline]\nannotator_mode = counting\n{name} = {value}\n")
+                PipelineConfig.from_ini(path)
+            else:
+                PipelineConfig(annotator_mode="counting", **{name: value})
+
+    @pytest.mark.parametrize("name, value", [("seed", 0), ("drift_threshold", float("inf"))])
+    def test_edge_seed_and_threshold_accepted(self, name, value):
+        # thresholds below 0 or above 1 are accepted too; run_pipeline tests use them
+        assert getattr(PipelineConfig(**{name: value}), name) == value
 
     def test_dict_round_trip(self):
         cfg = fast_config()
@@ -237,7 +250,6 @@ class TestRunPipeline:
     def test_counting_mode_has_no_annotator(self):
         corpus, _ = tiny_corpus()
         result = run_pipeline(corpus, fast_config())
-        assert result.final_annotator is None
         assert all(r.pretrain_trace == [] and r.finetune_trace == [] for r in result.records)
 
     def test_full_mode_trains_annotator(self):
@@ -245,7 +257,6 @@ class TestRunPipeline:
         corpus, _ = tiny_corpus()
         cfg = fast_config(annotator_mode="full", max_iterations=2, gin_hidden=16)
         result = run_pipeline(corpus, cfg)
-        assert result.final_annotator is not None
         assert result.records[0].pretrain_trace == result.records[0].finetune_trace == []
         assert len(result.records[1].pretrain_trace) > 0
         assert len(result.records[1].finetune_trace) > 0
@@ -370,7 +381,6 @@ class TestRunPipeline:
         for mode in pl.ANNOTATOR_MODES:
             out = tmp_path / mode
             run_pipeline(corpus, fast_config(annotator_mode=mode, max_iterations=1), out_dir=out)
-            assert not (out / "model" / "annotator.npz").exists()
             runs[mode] = [(out / name).read_bytes() for name in names]
         assert runs["full"] == runs["no_selfsup"] == runs["counting"]
 
@@ -457,6 +467,28 @@ class TestArtifacts:
         assert (out / "model" / "classifier.npz").exists()
         cfg_json = json.loads((out / "config.json").read_text())
         assert cfg_json == fast_config().to_dict()
+
+    def test_full_run_writes_exactly_the_listed_files(self, tmp_path):
+        # the annotator trains in iteration 2 but is not saved: the classifier
+        # is the only model a run keeps, and detect scores from it alone
+        corpus, _ = tiny_corpus()
+        out = tmp_path / "run"
+        cfg = fast_config(annotator_mode="full", max_iterations=2, drift_threshold=-1.0,
+                          gin_hidden=16)
+        result = run_pipeline(corpus, cfg, out_dir=out)
+        assert len(result.records[1].pretrain_trace) > 0
+        written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+        assert written == sorted([
+            "config.json", "manifest.json", "keywords_000.json", "keywords_001.json",
+            "keywords_002.json", "pseudo_labels_001.jsonl", "pseudo_labels_002.jsonl",
+            "predictions_001.jsonl", "predictions_002.jsonl", "model/classifier.npz",
+        ])
+        sequences, scored = tmp_path / "corpus.jsonl", tmp_path / "detect.jsonl"
+        ingest.write_jsonl(corpus, sequences)
+        argv = ["detect", "--model-dir", str(out / "model"), "--sequences", str(sequences),
+                "--out", str(scored)]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert scored.read_bytes() == (out / "predictions_002.jsonl").read_bytes()
 
     def test_manifest_keeps_first_min_and_last_loss(self, tmp_path):
         corpus, _ = tiny_corpus()
