@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from dataclasses import replace
@@ -20,7 +19,6 @@ from pathlib import Path
 from loggad import classifier as clf
 from loggad import evaluation as ev
 from loggad import ingest
-from loggad.keywords import KeywordSet
 from loggad.pipeline import PipelineConfig, PipelineError, run_pipeline
 
 EXIT_OK = 0
@@ -29,6 +27,8 @@ EXIT_MISSING_INPUT = 2
 EXIT_VOCAB_MISMATCH = 3
 
 DETECT_BLOCK = 1024  # sequences parsed, predicted and written at a time
+# what `report` reads of each manifest.json iteration entry
+REPORT_ENTRY_KEYS = {"iteration", "gamma", "keywords_path", "loss", "flagged", "keyword_warnings"}
 
 
 def _require_file(path: str | Path) -> Path:
@@ -36,6 +36,20 @@ def _require_file(path: str | Path) -> Path:
     if not p.is_file():
         raise FileNotFoundError(path)
     return p
+
+
+def _run_json(path: Path, **types: type) -> dict:
+    """The JSON object in a run-directory file, each key of ``types``
+    holding a value of that type; anything else raises ValueError (exit 1)
+    naming the file."""
+    try:
+        obj = ingest.json_object(_require_file(path).read_text())
+        for key, typ in types.items():
+            if not isinstance(obj.get(key), typ):
+                raise ValueError(f"{key!r} is missing or not a {typ.__name__}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return obj
 
 
 def _output_file(path: str) -> Path:
@@ -119,7 +133,7 @@ def cmd_detect(args) -> int:
         return EXIT_VOCAB_MISMATCH
     manifest_path = model_dir.parent / "manifest.json"
     if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text())
+        manifest = _run_json(manifest_path)
         if manifest.get("classifier_vocab_hash") not in (None, model.vocab_hash):
             print("error: model vocabulary hash does not match run manifest", file=sys.stderr)
             return EXIT_VOCAB_MISMATCH
@@ -142,23 +156,23 @@ def cmd_detect(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    manifest = json.loads(_require_file(run_dir / "manifest.json").read_text())
+    manifest_path = run_dir / "manifest.json"
+    manifest = _run_json(manifest_path, iterations=list)
+    iterations = manifest["iterations"]
+    if not all(isinstance(e, dict) and REPORT_ENTRY_KEYS <= e.keys() for e in iterations):
+        raise ValueError(f"{manifest_path}: every 'iterations' entry must be an object "
+                         f"with the keys {', '.join(sorted(REPORT_ENTRY_KEYS))}")
     csv_path = _output_file(args.out) if args.out else run_dir / "gamma.csv"
 
     print("keyword evolution (top anomaly keywords per iteration)")
-    initial = run_dir / "keywords_000.json"
-    rows = []
-    if initial.is_file():
-        rows.append((0, KeywordSet.from_json(initial.read_text())))
-    for entry in manifest["iterations"]:
-        ks = KeywordSet.from_json((run_dir / entry["keywords_path"]).read_text())
-        rows.append((entry["iteration"], ks))
-    for iteration, ks in rows:
-        top = ", ".join(w for w, _ in ks.anomaly[: args.top])
+    files = [(0, "keywords_000.json")] + [(e["iteration"], e["keywords_path"]) for e in iterations]
+    for iteration, name in files:
+        anomaly = _run_json(run_dir / name, anomaly=list)["anomaly"]
+        top = ", ".join(w for w, _ in anomaly[: args.top])
         print(f"  iteration {iteration}: {top}")
 
     print("keyword drift per iteration")
-    gamma_rows = [(e["iteration"], e["gamma"]) for e in manifest["iterations"]]
+    gamma_rows = [(e["iteration"], e["gamma"]) for e in iterations]
     for iteration, gamma in gamma_rows:
         print(f"  iteration {iteration}: gamma={gamma:.4f}")
     with open(csv_path, "w", newline="") as fh:
@@ -167,9 +181,7 @@ def cmd_report(args) -> int:
         writer.writerows(gamma_rows)
     print(f"gamma series: {csv_path}")
     print("loss per iteration (first / min / last; - for a phase that took no step)")
-    for entry in manifest["iterations"]:
-        if "loss" not in entry:  # written before the manifest kept loss curves
-            continue
+    for entry in iterations:
         curves = []
         for phase in ("pretrain", "finetune", "classifier"):
             c = entry["loss"][phase]
@@ -177,9 +189,7 @@ def cmd_report(args) -> int:
             curves.append(f"{phase} {summary}")
         print(f"  iteration {entry['iteration']}: " + "; ".join(curves))
     print("fallback pseudo-labels and keyword warnings per iteration")
-    for entry in manifest["iterations"]:
-        if "flagged" not in entry:  # written before the manifest kept them
-            continue
+    for entry in iterations:
         warnings = "; ".join(entry["keyword_warnings"]) or "none"
         print(f"  iteration {entry['iteration']}: flagged={entry['flagged']}; "
               f"keyword warnings: {warnings}")

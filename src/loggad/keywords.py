@@ -65,15 +65,6 @@ class KeywordSet:
             ensure_ascii=False,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "KeywordSet":
-        obj = json.loads(text)
-        return cls(
-            normal=[(w, float(s)) for w, s in obj["normal"]],
-            anomaly=[(w, float(s)) for w, s in obj["anomaly"]],
-            iteration_index=int(obj["iteration"]),
-        )
-
 
 def score(corpus: ClassifiedCorpus, M: int) -> dict[int, dict[str, tuple[float, int]]]:
     """TF-IDF^M score and TF of every word, per predicted class, in one pass.

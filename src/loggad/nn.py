@@ -5,9 +5,8 @@ analytic gradients, verified against finite differences in the test suite.
 All training runs through ``fit``: annotator pre-training and fine-tuning
 and the classifier are the same minibatch Adam loop over different batches.
 ``Adam`` keeps the parameters it trains in one flat float64 vector, so a
-step is a few whole-vector operations however many arrays a model has;
-one dot product over the flat gradient decides whether the exact,
-per-parameter clip norm needs to run at all.
+step is a few whole-vector operations however many arrays a model has,
+the global clip norm among them.
 """
 
 from __future__ import annotations
@@ -49,11 +48,6 @@ def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, scale, size=(fan_in, fan_out))
 
 
-def global_norm(grads: Params) -> float:
-    """The exact global norm: one ``np.sum(g * g)`` per array, in order."""
-    return np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-
-
 def zeros_like_params(params: Params) -> np.ndarray:
     """One flat float64 zero vector with a slot for every element of ``params``."""
     return np.zeros(sum(p.size for p in params.values()))
@@ -81,10 +75,9 @@ class Adam:
     caller's dict is rebound to a named view of it, and the moments ``m``
     and ``v`` are flat too, readable per parameter as ``m[k]`` and ``v[k]``.
     A step updates every element with the same operations in the same
-    order as a per-parameter loop would, so the bits are the same; the
-    exact, per-parameter ``global_norm`` runs only when the flat gradient's
-    ``g @ g`` says that it might clip, and then scales the flat gradient.
-    The caller's ``grads`` are left as they were passed.
+    order as a per-parameter loop would; the global norm is that of the
+    flat gradient, ``sqrt(g @ g)``, which is scaled to ``CLIP_NORM`` when
+    it is longer. The caller's ``grads`` are left as they were passed.
     """
 
     def __init__(self, params: Params, lr: float):
@@ -100,14 +93,9 @@ class Adam:
 
     def step(self, grads: Params) -> None:
         g = np.concatenate([grads[k].ravel() for k in self.params])
-        # g @ g sums in another order than global_norm, but within a
-        # relative n * 2**-53 of it, so below this bound the exact norm is
-        # below CLIP_NORM too and nothing would be clipped. A NaN norm never
-        # clips and skips the exact path; an inf norm takes it.
-        if g @ g > CLIP_NORM**2 * (1 - 1e-9):
-            total = global_norm(grads)
-            if total > CLIP_NORM:
-                g *= CLIP_NORM / total
+        total = np.sqrt(g @ g)  # NaN never clips; inf scales g by 0 (inf * 0 is NaN)
+        if total > CLIP_NORM:
+            g *= CLIP_NORM / total
         self.t += 1
         b1, b2 = BETA1, BETA2
         correction = np.sqrt(1 - b2**self.t) / (1 - b1**self.t)

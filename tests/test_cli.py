@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from loggad import classifier as clf
-from loggad import ingest
+from loggad import ingest, nn
+from loggad import pipeline as pl
 from loggad.cli import (
     DETECT_BLOCK,
     EXIT_ERROR,
@@ -583,3 +584,116 @@ class TestOutputPathErrors:
         code = run(train_args(synth_corpus, tmp_path / "run", ["--config", str(config)]))
         assert code == EXIT_MISSING_INPUT
         assert "absent.txt" in capsys.readouterr().err
+
+
+@pytest.fixture
+def counting_run(tmp_path, synth_corpus):
+    run_dir = tmp_path / "run"
+    assert run(train_args(synth_corpus, run_dir)) == EXIT_OK
+    return run_dir
+
+
+def report(run_dir):
+    return run(["report", "--run-dir", str(run_dir)])
+
+
+class TestRunDirectoryFiles:
+    """A malformed run-directory JSON file ends in exit 1 naming it, not a traceback."""
+
+    def test_report_keywords_without_a_key_exits_1_naming_it(self, counting_run, capsys):
+        path = counting_run / "keywords_001.json"
+        path.write_text('{"iteration": 1}')
+        assert report(counting_run) == EXIT_ERROR
+        assert f"error: {path}: 'anomaly' is missing or not a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "manifest, problem",
+        [
+            ({}, "'iterations' is missing or not a list"),
+            # as a manifest written before it kept loss curves and fallback counts
+            ({"iterations": [{"iteration": 1, "gamma": 0.5, "keywords_path": "keywords_001.json"}]},
+             "every 'iterations' entry must be an object with the keys flagged, gamma, "
+             "iteration, keyword_warnings, keywords_path, loss"),
+        ],
+        ids=["empty", "entry-without-loss"],
+    )
+    def test_report_manifest_without_a_key_exits_1_naming_it(
+        self, counting_run, capsys, manifest, problem
+    ):
+        path = counting_run / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert report(counting_run) == EXIT_ERROR
+        assert f"error: {path}: {problem}" in capsys.readouterr().err
+
+    def test_report_keywords_not_json_exits_1_naming_it(self, counting_run, capsys):
+        path = counting_run / "keywords_001.json"
+        path.write_text("not json\n")
+        assert report(counting_run) == EXIT_ERROR
+        assert f"error: {path}: invalid JSON: Expecting value" in capsys.readouterr().err
+
+    def test_detect_manifest_not_an_object_exits_1_naming_it(
+        self, tmp_path, counting_run, synth_corpus, capsys
+    ):
+        path = counting_run / "manifest.json"
+        path.write_text("[]")
+        code = run(["detect", "--model-dir", str(counting_run / "model"),
+                    "--sequences", str(synth_corpus), "--out", str(tmp_path / "p.jsonl")])
+        assert code == EXIT_ERROR
+        assert f"error: {path}: expected a JSON object" in capsys.readouterr().err
+
+    def test_report_missing_keywords_file_exits_2(self, counting_run, capsys):
+        path = counting_run / "keywords_000.json"
+        path.unlink()
+        assert report(counting_run) == EXIT_MISSING_INPUT
+        assert f"no such file: {path}" in capsys.readouterr().err
+
+    def test_report_prints_why_the_run_stopped_early(
+        self, tmp_path, synth_corpus, capsys, monkeypatch
+    ):
+        # the second iteration's classifier predicts one class, so the run keeps iteration 1
+        predict, calls = pl.clf.predict, []
+
+        def single_class_from_the_second_call(model, corpus):
+            calls.append(model)
+            return [(sid, 0 if len(calls) > 1 else label, conf)
+                    for sid, label, conf in predict(model, corpus)]
+
+        monkeypatch.setattr(pl.clf, "predict", single_class_from_the_second_call)
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[pipeline]\ndrift_threshold = -1\n")
+        run_dir = tmp_path / "run"
+        assert run(train_args(synth_corpus, run_dir, ["--config", str(ini)])) == EXIT_OK
+        capsys.readouterr()
+        assert report(run_dir) == EXIT_OK
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("stopped early: iteration 2: ")
+        assert last.endswith("; kept iteration 1")
+
+
+@pytest.mark.parametrize(
+    "meta, problem",
+    [
+        ({"kind": "annotator"}, "not a classifier checkpoint: annotator"),
+        ({"vocab_hash": "tampered"}, "checkpoint vocabulary hash mismatch"),
+    ],
+    ids=["kind", "vocab-hash"],
+)
+def test_detect_rejected_checkpoint_exits_3(tmp_path, model_dir, capsys, meta, problem):
+    checkpoint = model_dir / "classifier.npz"
+    params, saved = nn.load_checkpoint(checkpoint)
+    nn.save_checkpoint(checkpoint, params, {**saved, **meta})
+    path = tmp_path / "seqs.jsonl"
+    ingest.write_jsonl(random_sequences(3), path)
+    assert detect(model_dir, path, tmp_path / "preds.jsonl") == EXIT_VOCAB_MISMATCH
+    assert f"error: {problem}" in capsys.readouterr().err
+
+
+def test_eval_prediction_missing_a_gold_id_exits_1(tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    ingest.write_jsonl(
+        [ingest.LogSequence(id=f"s{i}", tokens=["x"], gold_label=i % 2) for i in range(3)], gold
+    )
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text('{"id": "s0", "label": 0}\n{"id": "s2", "label": 0}\n')
+    assert run(["eval", "--predictions", str(preds), "--gold", str(gold)]) == EXIT_ERROR
+    assert "prediction/gold id mismatch (1 ids differ)" in capsys.readouterr().err

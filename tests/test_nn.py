@@ -6,8 +6,9 @@ import pytest
 from loggad import nn
 
 
-def global_norm(grads):
-    return np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def flat_norm(grads):
+    g = np.concatenate([g.ravel() for g in grads.values()])
+    return np.sqrt(g @ g)
 
 
 def textbook_adam(params, grad_steps, lr, b1=0.9, b2=0.999, eps=1e-8):
@@ -33,7 +34,7 @@ class TestAdam:
             {"w": rng.uniform(0.2, 1.0, size=(3, 4)), "b": rng.uniform(-1.0, -0.2, size=4)}
             for _ in range(3)
         ]
-        assert all(global_norm(g) < nn.CLIP_NORM for g in grad_steps)
+        assert all(flat_norm(g) < nn.CLIP_NORM for g in grad_steps)
         expected = textbook_adam(params, grad_steps, lr=0.01)
         adam = nn.Adam(params, lr=0.01)
         for grads in grad_steps:
@@ -114,8 +115,9 @@ class TestFit:
 
 
 class PerParameterAdam:
-    """The per-parameter Adam loop that the flat-buffer Adam replaced: the
-    byte-for-byte reference for its clip factor and update order."""
+    """The per-parameter Adam loop that the flat-buffer Adam replaced, with
+    the flat gradient's norm as its clip norm: the byte-for-byte reference
+    for the clip factor and the update order."""
 
     def __init__(self, params, lr):
         self.params, self.lr, self.t = params, lr, 0
@@ -123,7 +125,7 @@ class PerParameterAdam:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads):
-        total = global_norm(grads)
+        total = flat_norm(grads)
         if total > nn.CLIP_NORM:
             factor = nn.CLIP_NORM / total
             grads = {k: g * factor for k, g in grads.items()}
@@ -164,7 +166,7 @@ class TestFlatAdam:
             scale = 10.0 ** rng.uniform(-3, 1)  # global norms from about 0.03 to 300
             grads = {k: rng.normal(scale=scale, size=v.shape) for k, v in params.items()}
             passed = {k: g.copy() for k, g in grads.items()}
-            clipped += global_norm(grads) > nn.CLIP_NORM
+            clipped += flat_norm(grads) > nn.CLIP_NORM
             adam.step(grads)
             ref.step(passed)
             for k in reference:
@@ -194,10 +196,10 @@ class TestFlatAdam:
         else:
             factor = 1.0 + float(case[1:])
             target = nn.CLIP_NORM * factor
-            grads = {k: g * (target / global_norm(grads)) for k, g in grads.items()}
-            assert (global_norm(grads) > nn.CLIP_NORM) == (factor > 1)
+            grads = {k: g * (target / flat_norm(grads)) for k, g in grads.items()}
+            assert (flat_norm(grads) > nn.CLIP_NORM) == (factor > 1)
         if case == "exact":
-            assert global_norm(grads) == nn.CLIP_NORM
+            assert flat_norm(grads) == nn.CLIP_NORM
         passed = {k: g.copy() for k, g in grads.items()}
         adam.step(grads)
         ref.step(passed)

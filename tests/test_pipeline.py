@@ -222,6 +222,11 @@ class TestBootstrap:
         with pytest.raises(PipelineError):
             bootstrap([], fast_config())
 
+    def test_seed_in_every_sequence_rejected(self):
+        corpus = [LogSequence(id="a", tokens=["x", "y"]), LogSequence(id="b", tokens=["y"])]
+        with pytest.raises(PipelineError, match="every sequence contains a seed keyword"):
+            bootstrap(corpus, fast_config(seed_keywords=["y"]))
+
 
 class TestRunPipeline:
     def test_converges_and_reports_gammas(self):
