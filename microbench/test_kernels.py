@@ -1,7 +1,8 @@
 """Micro-benchmarks of the two trainable models' batched kernels, one
 classifier training epoch (the per-step cost of ``nn.fit``), one Adam step
 at each model's size, walk sampling, the event graph and keyword kernels, the seed-word bootstrap,
-the synthetic generator, and the JSONL read and ``loggad detect`` paths.
+the synthetic generator, the JSONL read paths, and ``loggad detect`` on
+each side of its pool-or-inline choice.
 
 Run from the root of a checkout:
 
@@ -11,11 +12,12 @@ They are kept out of the tier-1 suite (``testpaths = ["tests"]``). The
 inputs mirror the default synthetic run's second iteration: a graph over
 both 100-word keyword lists, minibatches of 20 subgraphs for the annotator
 and of 5 sequences for the classifier. The generator and file benchmarks
-make, read and score 5,000 sequences.
+make, read and score 5,000 sequences; the inline detect scores 100.
 """
 
 import io
 from contextlib import redirect_stdout
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -165,23 +167,49 @@ def test_ingest_read_jsonl_5000(benchmark, sequence_file):
     assert len(benchmark(ingest.read_jsonl, sequence_file)) == 5_000
 
 
-def test_ingest_iter_jsonl_5000(benchmark, sequence_file):
-    # the detect read path: a stream that keeps no ids
-    assert benchmark(lambda: sum(1 for _ in ingest.iter_jsonl(sequence_file))) == 5_000
+def test_ingest_parse_blocks_5000(benchmark, sequence_file):
+    # the detect read path: raw blocks, each parsed on its own, keeping no ids
+    def parse(path):
+        blocks = ingest.raw_blocks(path)
+        return sum(
+            len(ingest.parse_block(path, *b, ingest.sequence_from_json, ingest.IngestError))
+            for b in blocks
+        )
+
+    assert benchmark(parse, sequence_file) == 5_000
 
 
-def test_cli_detect_5000(benchmark, corpus, sequence_file):
-    model_dir = sequence_file.parent / "model"
-    model_dir.mkdir(exist_ok=True)
-    model = clf.ClassifierModel.create(corpus[:400], np.random.default_rng(5))
-    model.save(model_dir / "classifier.npz")
-    out = sequence_file.parent / "predictions.jsonl"
-    argv = ["detect", "--model-dir", str(model_dir), "--sequences", str(sequence_file),
+@pytest.fixture(scope="module")
+def model_dir(corpus, sequence_file):
+    path = sequence_file.parent / "model"
+    path.mkdir(exist_ok=True)
+    clf.ClassifierModel.create(corpus[:400], np.random.default_rng(5)).save(path / "classifier.npz")
+    return path
+
+
+def detect_call(model_dir, sequences, out):
+    argv = ["detect", "--model-dir", str(model_dir), "--sequences", str(sequences),
             "--out", str(out)]
 
     def detect():
         with redirect_stdout(io.StringIO()):  # the CLI reports the file it writes
             return cli.main(argv)
 
-    assert benchmark(detect) == cli.EXIT_OK
+    return detect
+
+
+def test_cli_detect_5000(benchmark, model_dir, sequence_file):
+    # five blocks: scored by a worker pool when more than one CPU is available
+    out = sequence_file.parent / "predictions.jsonl"
+    assert benchmark(detect_call(model_dir, sequence_file, out)) == cli.EXIT_OK
     assert out.read_text().count("\n") == 5_000
+
+
+def test_cli_detect_100(benchmark, model_dir, sequence_file):
+    # one block: always scored inline
+    small = sequence_file.parent / "sequences_100.jsonl"
+    with open(sequence_file, encoding="utf-8") as fh:
+        small.write_text("".join(islice(fh, 100)), encoding="utf-8")
+    out = sequence_file.parent / "predictions_100.jsonl"
+    assert benchmark(detect_call(model_dir, small, out)) == cli.EXIT_OK
+    assert out.read_text().count("\n") == 100

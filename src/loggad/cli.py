@@ -12,9 +12,13 @@ import argparse
 import csv
 import os
 import sys
+from collections import deque
+from contextlib import closing
 from dataclasses import replace
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterator
 
 from loggad import classifier as clf
 from loggad import evaluation as ev
@@ -26,9 +30,43 @@ EXIT_ERROR = 1
 EXIT_MISSING_INPUT = 2
 EXIT_VOCAB_MISMATCH = 3
 
-DETECT_BLOCK = 1024  # sequences parsed, predicted and written at a time
-# what `report` reads of each manifest.json iteration entry
-REPORT_ENTRY_KEYS = {"iteration", "gamma", "keywords_path", "loss", "flagged", "keyword_warnings"}
+DETECT_BLOCK = 1024  # input lines parsed, predicted and written at a time
+LOSS_PHASES = ("pretrain", "finetune", "classifier")
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_curve(value) -> bool:
+    """A loss phase as manifest.json holds it: null, or numeric first, min and last."""
+    return value is None or isinstance(value, dict) and all(
+        _is_number(value.get(key)) for key in ("first", "min", "last")
+    )
+
+
+# what `report` reads of each manifest.json iteration entry, and what it must hold
+REPORT_ENTRY = {
+    "iteration": ("an int", lambda v: type(v) is int),
+    "gamma": ("a number", _is_number),
+    "keywords_path": ("a str", lambda v: isinstance(v, str)),
+    "loss": ("an object", lambda v: isinstance(v, dict)),
+    "flagged": ("an int", lambda v: type(v) is int),
+    "keyword_warnings": (
+        "a list of str", lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v)
+    ),
+}
+
+
+def _entry_problem(entry: dict) -> str | None:
+    """The first value of a manifest.json iteration entry that `report` cannot print."""
+    for key, (what, ok) in REPORT_ENTRY.items():
+        if not ok(entry[key]):
+            return f"{key!r} is not {what}"
+    for phase in LOSS_PHASES:
+        if phase not in entry["loss"] or not _is_curve(entry["loss"][phase]):
+            return f"'loss.{phase}' is not null or an object of numeric first, min and last"
+    return None
 
 
 def _require_file(path: str | Path) -> Path:
@@ -139,19 +177,94 @@ def cmd_detect(args) -> int:
             return EXIT_VOCAB_MISMATCH
     # written beside --out and moved over it only once every block is written,
     # so a bad input line leaves an existing --out as it was
-    partial = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-    sequences = ingest.iter_jsonl(seq_path)
+    partial_out = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    blocks = ingest.raw_blocks(seq_path, DETECT_BLOCK)
     written = 0
     try:
-        with open(partial, "w", encoding="utf-8") as fh:
-            while block := list(islice(sequences, DETECT_BLOCK)):
-                fh.writelines(clf.prediction_lines(clf.predict(model, block)))
-                written += len(block)
-        os.replace(partial, out)
+        with open(partial_out, "w", encoding="utf-8") as fh, closing(
+            _scored(partial(_score_block, model, seq_path), blocks)
+        ) as scored:
+            for count, text in scored:
+                fh.write(text)
+                written += count
+        os.replace(partial_out, out)
     finally:
-        partial.unlink(missing_ok=True)
+        partial_out.unlink(missing_ok=True)
     print(f"wrote {written} predictions to {args.out}")
     return EXIT_OK
+
+
+def _score_block(model, path, block: tuple[int, list[bytes]]) -> tuple[int, str]:
+    """Parse, predict and format one ``ingest.raw_blocks`` block: the
+    number of its sequences and their prediction lines."""
+    pairs = ingest.parse_block(path, *block, ingest.sequence_from_json, ingest.IngestError)
+    lines = clf.prediction_lines(clf.predict(model, [seq for _, seq in pairs]))
+    return len(lines), "".join(lines)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # an OS that does not say which CPUs a process may use
+        return 1
+
+
+def _scored(score, blocks: Iterator) -> Iterator:
+    """Yield ``score(block)`` for each block, in input order.
+
+    An input of more than one block is scored by a pool of forked worker
+    processes, one per CPU, which inherit ``score`` (and the model in it)
+    instead of unpickling it; at most workers + 1 blocks are in flight, so
+    memory does not grow with the input. One block, one CPU, or no ``fork``
+    start method scores inline. Closing the generator, or an error in a
+    block, shuts the pool down with the pending blocks cancelled.
+    """
+    head = list(islice(blocks, 2))
+    blocks = chain(head, blocks)
+    workers = _cpus()
+    pool = _fork_pool(workers, score) if len(head) > 1 and workers > 1 else None
+    if pool is None:
+        yield from map(score, blocks)
+        return
+    try:
+        pending = deque()
+        for block in blocks:
+            if len(pending) > workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_score_in_worker, block))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _fork_pool(workers: int, score):
+    """A pool of ``workers`` forked processes that inherit ``score``, or None
+    without a ``fork`` start method. Its modules are imported here, not with
+    the CLI: they add 2 MiB to the memory of any process that imports them."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(score,),
+    )
+
+
+_worker_score = None  # a detect worker's ``score``, set as the worker starts
+
+
+def _start_worker(score) -> None:
+    global _worker_score
+    _worker_score = score
+
+
+def _score_in_worker(block):
+    return _worker_score(block)
 
 
 def cmd_report(args) -> int:
@@ -159,15 +272,22 @@ def cmd_report(args) -> int:
     manifest_path = run_dir / "manifest.json"
     manifest = _run_json(manifest_path, iterations=list)
     iterations = manifest["iterations"]
-    if not all(isinstance(e, dict) and REPORT_ENTRY_KEYS <= e.keys() for e in iterations):
+    if not all(isinstance(e, dict) and REPORT_ENTRY.keys() <= e.keys() for e in iterations):
         raise ValueError(f"{manifest_path}: every 'iterations' entry must be an object "
-                         f"with the keys {', '.join(sorted(REPORT_ENTRY_KEYS))}")
+                         f"with the keys {', '.join(sorted(REPORT_ENTRY))}")
+    for i, entry in enumerate(iterations):
+        if problem := _entry_problem(entry):
+            raise ValueError(f"{manifest_path}: iterations[{i}]: {problem}")
     csv_path = _output_file(args.out) if args.out else run_dir / "gamma.csv"
 
     print("keyword evolution (top anomaly keywords per iteration)")
     files = [(0, "keywords_000.json")] + [(e["iteration"], e["keywords_path"]) for e in iterations]
     for iteration, name in files:
         anomaly = _run_json(run_dir / name, anomaly=list)["anomaly"]
+        if not all(isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+                   and _is_number(pair[1]) for pair in anomaly):
+            raise ValueError(f"{run_dir / name}: 'anomaly' holds an entry that is not "
+                             "a [str, number] pair")
         top = ", ".join(w for w, _ in anomaly[: args.top])
         print(f"  iteration {iteration}: {top}")
 
@@ -183,7 +303,7 @@ def cmd_report(args) -> int:
     print("loss per iteration (first / min / last; - for a phase that took no step)")
     for entry in iterations:
         curves = []
-        for phase in ("pretrain", "finetune", "classifier"):
+        for phase in LOSS_PHASES:
             c = entry["loss"][phase]
             summary = "-" if c is None else f"{c['first']:.4g} / {c['min']:.4g} / {c['last']:.4g}"
             curves.append(f"{phase} {summary}")

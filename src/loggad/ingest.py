@@ -1,6 +1,8 @@
-"""Raw log ingestion: normalization, grouping and windowing; and
-``numbered_lines``, the one reader of every line-numbered input file
-(sequence and prediction JSONL, label files, the stopword list).
+"""Raw log ingestion: normalization, grouping and windowing; and the one
+reader of every line-numbered input file (sequence and prediction JSONL,
+label files, the stopword list): ``raw_blocks`` cuts a file into blocks of
+raw lines, ``parse_block`` parses one block, and ``numbered_lines`` chains
+the two and checks for repeated keys.
 
 No template parser is involved anywhere. A raw line is lowercased, long
 digit runs are replaced by a sentinel token, and the rest is split on
@@ -15,7 +17,8 @@ import json
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring
-from operator import attrgetter, itemgetter
+from itertools import islice
+from operator import attrgetter
 from typing import Any, Iterable, Iterator, Optional
 
 NUM_SENTINEL = "[Num]"
@@ -177,50 +180,83 @@ def write_jsonl(sequences: list[LogSequence], path) -> None:
             raise IngestError(f"gold_label must be 0, 1 or None, got {exc.args[0]!r}") from None
 
 
-def numbered_lines(path, parse, error, keyed=None) -> Iterator[tuple[int, Any]]:
-    """Yield ``(n, parse(line))`` for each non-blank line ``n`` (from 1) of
-    a UTF-8 text file, read lazily; lines end at ``\\n``.
+BLOCK_LINES = 1024  # raw lines read and parsed at a time
+
+
+def raw_blocks(path, size: int = BLOCK_LINES) -> Iterator[tuple[int, list[bytes]]]:
+    """Yield ``(n, lines)`` for each run of up to ``size`` raw lines of a
+    file, read lazily as bytes; ``n`` is the number (from 1) of the first
+    line of the run, and lines end at ``\\n``."""
+    with open(path, "rb") as fh:
+        n = 1
+        while lines := list(islice(fh, size)):
+            yield n, lines
+            n += len(lines)
+
+
+def parse_block(path, first: int, lines: list[bytes], parse, error) -> list[tuple[int, Any]]:
+    """``(n, parse(line))`` for each non-blank line ``n`` of a block that
+    ``raw_blocks`` yielded, decoded as UTF-8.
 
     ``parse`` returns an item, returns None to skip the line, or raises
-    ValueError(message). Any failure raises ``error(f"{path}, line {n}: …")``:
-    a parse error, a line that is not UTF-8, or, when ``keyed`` is a
-    ``(name, key)`` pair, an item whose ``key(item)`` an earlier line gave,
-    naming that line too.
+    ValueError(message). A parse error or a line that is not UTF-8 raises
+    ``error(f"{path}, line {n}: …")``.
+    """
+    items = []
+    for n, raw in enumerate(lines, first):
+        try:
+            line = raw.decode()  # UTF-8, the default, is the fastest call
+            if line.isspace():
+                continue
+            item = parse(line)
+        except ValueError as exc:
+            raise error(f"{path}, line {n}: {exc}") from None
+        if item is not None:
+            items.append((n, item))
+    return items
+
+
+def numbered_lines(path, parse, error, keyed=None) -> Iterator[tuple[int, Any]]:
+    """Yield ``(n, parse(line))`` for each non-blank line ``n`` (from 1) of
+    a UTF-8 text file: ``parse_block`` over ``raw_blocks``.
+
+    Any failure raises ``error(f"{path}, line {n}: …")``: a parse error, a
+    line that is not UTF-8, or, when ``keyed`` is a ``(name, key)`` pair,
+    an item whose ``key(item)`` an earlier line gave, naming that line too.
     """
     name, key_of = keyed or (None, None)
     first_line: dict = {}
-    with open(path, "rb") as fh:
-        for n, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode()  # UTF-8, the default, is the fastest call
-                if line.isspace():
-                    continue
-                item = parse(line)
-            except ValueError as exc:
-                raise error(f"{path}, line {n}: {exc}") from None
-            if item is None:
-                continue
+    for first, lines in raw_blocks(path):
+        for n, item in parse_block(path, first, lines, parse, error):
             if key_of:
                 key = key_of(item)
-                first = first_line.setdefault(key, n)
-                if first != n:
-                    message = f"{name} {key!r} is repeated, first on line {first}"
+                first_seen = first_line.setdefault(key, n)
+                if first_seen != n:
+                    message = f"{name} {key!r} is repeated, first on line {first_seen}"
                     raise error(f"{path}, line {n}: {message}")
             yield n, item
 
 
 def json_object(line: str) -> dict:
-    """The JSON object on one line; anything else raises ValueError."""
+    """The JSON object in a text, one JSONL line or a whole file; anything
+    else raises ValueError, which names the line of a syntax error past
+    the first line."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc.msg} at column {exc.colno}") from None
+        where = f"column {exc.colno}"
+        if exc.lineno > 1:
+            where = f"line {exc.lineno}, {where}"
+        raise ValueError(f"invalid JSON: {exc.msg} at {where}") from None
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
     return obj
 
 
-def _sequence_from_json(line: str) -> LogSequence:
+def sequence_from_json(line: str) -> LogSequence:
+    """The sequence on one JSONL line: an object with a string ``id``, a
+    non-empty list of string ``tokens`` and an optional ``gold_label`` of 0,
+    1 or null; anything else raises ValueError."""
     obj = json_object(line)
     for key, typ in (("id", str), ("tokens", list)):
         if not isinstance(obj.get(key), typ):
@@ -236,19 +272,9 @@ def _sequence_from_json(line: str) -> LogSequence:
     return LogSequence(id=obj["id"], tokens=tokens, gold_label=gold)
 
 
-def iter_jsonl(path) -> Iterator[LogSequence]:
-    """Yield one sequence per non-blank line of a JSONL file, read lazily.
-
-    Each line is an object with a string ``id``, a non-empty list of string
-    ``tokens`` and an optional ``gold_label`` of 0, 1 or null. A line that
-    breaks this raises IngestError naming the file and its line number.
-    Ids are not checked, so memory does not grow with the file.
-    """
-    return map(itemgetter(1), numbered_lines(path, _sequence_from_json, IngestError))
-
-
 def read_jsonl(path) -> list[LogSequence]:
-    """``iter_jsonl`` as a list; an id already seen raises IngestError
-    naming both of its lines."""
+    """``sequence_from_json`` of each non-blank line of a JSONL file; a bad
+    line, or an id already seen, raises IngestError naming the file and the
+    line (both lines for a repeated id)."""
     keyed = ("sequence id", attrgetter("id"))
-    return [seq for _, seq in numbered_lines(path, _sequence_from_json, IngestError, keyed)]
+    return [seq for _, seq in numbered_lines(path, sequence_from_json, IngestError, keyed)]

@@ -1,13 +1,15 @@
 """CLI commands: exit codes, golden files and determinism."""
 
+import concurrent.futures
 import json
+import multiprocessing
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from loggad import classifier as clf
-from loggad import ingest, nn
+from loggad import cli, ingest, nn
 from loggad import pipeline as pl
 from loggad.cli import (
     DETECT_BLOCK,
@@ -482,8 +484,10 @@ class TestDetectStreaming:
         assert "line 7:" in err and "non-string token" in err
 
     def test_peak_memory_does_not_grow_with_the_input(self, tmp_path, model_dir):
+        # the small input fills the pool's window of workers + 1 blocks in flight
+        small = max(2_500, cli._cpus() * DETECT_BLOCK + 1)
         peaks = []
-        for n in (2_500, 20_000):
+        for n in (small, 8 * small):
             path = tmp_path / f"seqs_{n}.jsonl"
             ingest.write_jsonl(random_sequences(n), path)
             tracemalloc.start()
@@ -493,6 +497,132 @@ class TestDetectStreaming:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 2 * peaks[0], peaks
+
+
+class CountedPool:
+    """A worker pool that counts the blocks submitted and not yet collected."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.in_flight = self.most_in_flight = 0
+
+    def submit(self, fn, *args):
+        future = self.pool.submit(fn, *args)
+        self.in_flight += 1
+        self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        result = future.result
+
+        def collect():
+            self.in_flight -= 1
+            return result()
+
+        future.result = collect
+        return future
+
+    def shutdown(self, **kwargs):
+        self.pool.shutdown(**kwargs)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker pools ``loggad detect`` starts, counted."""
+    started = []
+    pool_class = concurrent.futures.ProcessPoolExecutor
+
+    def counted(*args, **kwargs):
+        started.append(CountedPool(pool_class(*args, **kwargs)))
+        return started[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+    return started
+
+
+def lines_file(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
+
+
+def sequence_lines(n, seed=0):
+    return [json.dumps({"id": seq.id, "tokens": seq.tokens}) for seq in random_sequences(n, seed)]
+
+
+class TestDetectPool:
+    """More than one block is scored by forked workers, with the inline path's bytes."""
+
+    def test_pool_and_inline_write_the_same_bytes(
+        self, tmp_path, model_dir, monkeypatch, pools
+    ):
+        path = tmp_path / "seqs.jsonl"
+        ingest.write_jsonl(random_sequences(2 * DETECT_BLOCK + 37), path)
+        written = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            out = tmp_path / f"preds_{cpus}.jsonl"
+            assert detect(model_dir, path, out) == EXIT_OK
+            written[cpus] = out.read_bytes()
+            assert len(pools) == cpus - 1
+        assert written[1] == written[2]
+        assert written[1].count(b"\n") == 2 * DETECT_BLOCK + 37
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_at_most_workers_plus_one_blocks_are_in_flight(
+        self, tmp_path, model_dir, monkeypatch, pools, cpus
+    ):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        path = tmp_path / "seqs.jsonl"
+        ingest.write_jsonl(random_sequences(8 * DETECT_BLOCK), path)
+        assert detect(model_dir, path, tmp_path / "preds.jsonl") == EXIT_OK
+        assert [(pool.most_in_flight, pool.in_flight) for pool in pools] == [(cpus + 1, 0)]
+
+    @pytest.mark.parametrize("bad_line", [2 * DETECT_BLOCK + 1, 4 * DETECT_BLOCK - 5])
+    def test_bad_line_in_a_late_block_leaves_no_worker_and_keeps_out(
+        self, tmp_path, model_dir, monkeypatch, pools, capsys, bad_line
+    ):
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        lines = sequence_lines(5 * DETECT_BLOCK)
+        lines[bad_line - 1] = '{"id": "x"}'
+        path = lines_file(tmp_path / "seqs.jsonl", lines)
+        out = tmp_path / "preds.jsonl"
+        out.write_text("previous predictions\n")
+        assert detect(model_dir, path, out) == EXIT_ERROR
+        assert len(pools) == 1
+        assert multiprocessing.active_children() == []
+        assert capsys.readouterr().err == (
+            f"error: {path}, line {bad_line}: 'tokens' is missing or not a list\n"
+        )
+        assert out.read_text() == "previous predictions\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["preds.jsonl", "run", "seqs.jsonl"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_blank_lines_at_a_block_boundary_keep_line_numbers(
+        self, tmp_path, model_dir, monkeypatch, capsys, cpus
+    ):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        lines = sequence_lines(3 * DETECT_BLOCK)
+        for n in (DETECT_BLOCK - 1, DETECT_BLOCK, DETECT_BLOCK + 1, DETECT_BLOCK + 2):
+            lines[n - 1] = "  "
+        path = lines_file(tmp_path / "seqs.jsonl", lines)
+        out = tmp_path / "preds.jsonl"
+        assert detect(model_dir, path, out) == EXIT_OK
+        assert out.read_text().count("\n") == 3 * DETECT_BLOCK - 4
+        lines[DETECT_BLOCK + 2] = "not json"
+        lines_file(path, lines)
+        capsys.readouterr()
+        assert detect(model_dir, path, out) == EXIT_ERROR
+        assert f"{path}, line {DETECT_BLOCK + 3}: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [1, DETECT_BLOCK])
+    def test_one_block_starts_no_pool(self, tmp_path, model_dir, monkeypatch, n):
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pytest.fail("pool started")
+        )
+        path = tmp_path / "seqs.jsonl"
+        ingest.write_jsonl(random_sequences(n), path)
+        out = tmp_path / "preds.jsonl"
+        assert detect(model_dir, path, out) == EXIT_OK
+        assert out.read_text().count("\n") == n
 
 
 class TestOutputPathErrors:
@@ -575,7 +705,7 @@ class TestOutputPathErrors:
     def test_detect_checks_out_before_reading(self, tmp_path, model_dir, monkeypatch):
         path = tmp_path / "seqs.jsonl"
         ingest.write_jsonl(random_sequences(10), path)
-        monkeypatch.setattr(ingest, "iter_jsonl", lambda *a: pytest.fail("input was read"))
+        monkeypatch.setattr(ingest, "raw_blocks", lambda *a: pytest.fail("input was read"))
         assert detect(model_dir, path, tmp_path) == EXIT_ERROR
 
     def test_missing_stopwords_file_stays_a_missing_input(self, tmp_path, synth_corpus, capsys):
@@ -624,6 +754,65 @@ class TestRunDirectoryFiles:
         path.write_text(json.dumps(manifest))
         assert report(counting_run) == EXIT_ERROR
         assert f"error: {path}: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "anomaly", [[5], [["fault0_trap"]], [[3, 1.0]], [["fault0_trap", "high"]]],
+        ids=["int", "one-item", "int-word", "str-score"],
+    )
+    def test_report_keywords_with_a_bad_pair_exits_1_naming_it(
+        self, counting_run, capsys, anomaly
+    ):
+        path = counting_run / "keywords_001.json"
+        path.write_text(json.dumps({"iteration": 1, "normal": [], "anomaly": anomaly}))
+        assert report(counting_run) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'anomaly' holds an entry that is not a [str, number] pair\n"
+        )
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("gamma", None, "'gamma' is not a number"),
+            ("gamma", "0.5", "'gamma' is not a number"),
+            ("flagged", 1.5, "'flagged' is not an int"),
+            ("keyword_warnings", [3], "'keyword_warnings' is not a list of str"),
+            ("keyword_warnings", "none", "'keyword_warnings' is not a list of str"),
+            ("keywords_path", 1, "'keywords_path' is not a str"),
+            ("loss", [], "'loss' is not an object"),
+            ("loss.classifier", {"first": 1.0},
+             "'loss.classifier' is not null or an object of numeric first, min and last"),
+            ("loss.pretrain", 0.5,
+             "'loss.pretrain' is not null or an object of numeric first, min and last"),
+        ],
+    )
+    def test_report_manifest_with_a_wrong_typed_value_exits_1_naming_it(
+        self, counting_run, capsys, key, value, problem
+    ):
+        path = counting_run / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry = manifest["iterations"][-1]
+        if key.startswith("loss."):
+            entry["loss"][key.split(".")[1]] = value
+        else:
+            entry[key] = value
+        path.write_text(json.dumps(manifest, indent=2))
+        i = len(manifest["iterations"]) - 1
+        assert report(counting_run) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: iterations[{i}]: {problem}\n"
+        assert captured.out == ""
+
+    def test_report_manifest_syntax_error_names_its_line(self, counting_run, capsys):
+        path = counting_run / "manifest.json"
+        lines = path.read_text().splitlines()
+        assert lines[5].startswith('    "annotator_lr"')
+        lines[5] = lines[5].replace('"annotator_lr"', 'annotator_lr"')
+        path.write_text("\n".join(lines) + "\n")
+        assert report(counting_run) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid JSON: Expecting property name enclosed in double quotes "
+            "at line 6, column 5\n"
+        )
 
     def test_report_keywords_not_json_exits_1_naming_it(self, counting_run, capsys):
         path = counting_run / "keywords_001.json"

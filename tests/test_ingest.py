@@ -236,15 +236,24 @@ class TestJsonl:
         with pytest.raises(IngestError, match="gold_label must be 0, 1 or None, got 2"):
             ingest.write_jsonl([LogSequence(id="a", tokens=["x"], gold_label=2)], path)
 
-    def test_iter_is_lazy_and_read_is_its_list(self, tmp_path):
+    def test_raw_blocks_are_lazy_and_numbered_and_parse_block_names_the_line(self, tmp_path):
         path = tmp_path / "seqs.jsonl"
         ingest.write_jsonl([LogSequence(id=f"s{i}", tokens=["x"]) for i in range(3)], path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n{not json\n")
-        sequences = ingest.iter_jsonl(path)
-        assert [next(sequences).id for _ in range(3)] == ["s0", "s1", "s2"]
-        with pytest.raises(IngestError, match="line 5"):
-            next(sequences)
+        blocks = ingest.raw_blocks(path, 2)
+        parsed = [
+            ingest.parse_block(path, *next(blocks), ingest.sequence_from_json, IngestError)
+            for _ in range(2)
+        ]
+        assert [(n, seq.id) for block in parsed for n, seq in block] == [
+            (1, "s0"), (2, "s1"), (3, "s2")
+        ]
+        first, lines = next(blocks)
+        assert (first, lines) == (5, [b"{not json\n"])
+        with pytest.raises(IngestError, match=f"^{re.escape(str(path))}, line 5: invalid JSON"):
+            ingest.parse_block(path, first, lines, ingest.sequence_from_json, IngestError)
+        assert next(blocks, None) is None
         with pytest.raises(IngestError, match="line 5"):
             ingest.read_jsonl(path)
 
@@ -276,6 +285,18 @@ class TestJsonl:
         assert reason in str(info.value)
         assert "line 1 " not in str(info.value)
 
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [('{"id": "a",}', "at column 12"), ('{\n  "id": "a",\n}', "at line 3, column 1"),
+     ('{"id":\n"a"', "at line 2, column 4")],
+)
+def test_json_object_names_the_line_of_an_error_past_the_first(text, where):
+    with pytest.raises(ValueError) as info:
+        ingest.json_object(text)
+    assert str(info.value).startswith("invalid JSON: ")
+    assert str(info.value).endswith(where)
 
 
 def _read_block_labels(path):
@@ -385,13 +406,32 @@ class TestNumberedLines:
         path.write_bytes(b"\n\n".join(valid(i).encode() for i in range(5)) + b"\n  \n")
         assert len(reader(path)) == 5
 
-    def test_iter_jsonl_accepts_a_repeated_id(self, tmp_path):
+    def test_parse_block_accepts_a_repeated_id(self, tmp_path):
         path = tmp_path / "input.txt"
         for seed in range(25):
             rng = np.random.default_rng(seed)
             lines, line_no, _, _ = numbered_file(rng, "sequences", "repeated")
             path.write_bytes(b"\n".join(lines))
-            ids = [seq.id for seq in ingest.iter_jsonl(path)]
+            ids = [
+                seq.id
+                for block in ingest.raw_blocks(path, int(rng.integers(1, 4)))
+                for _, seq in ingest.parse_block(
+                    path, *block, ingest.sequence_from_json, IngestError
+                )
+            ]
             assert len(ids) == len(set(ids)) + 1
             with pytest.raises(IngestError, match=f"line {line_no}: "):
                 ingest.read_jsonl(path)
+
+    def test_a_key_repeated_in_a_later_block_names_both_lines(self, tmp_path):
+        path = tmp_path / "seqs.jsonl"
+        n = ingest.BLOCK_LINES + 5
+        lines = [json.dumps({"id": f"s{i}", "tokens": ["x"]}) for i in range(n)]
+        lines[ingest.BLOCK_LINES - 1] = ""
+        lines[n - 1] = lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IngestError) as info:
+            ingest.read_jsonl(path)
+        assert str(info.value) == (
+            f"{path}, line {n}: sequence id 's2' is repeated, first on line 3"
+        )
