@@ -1,9 +1,11 @@
 """Held-out quality and wall clock of every annotator mode on three corpora.
 
-Trains counting, no_selfsup and full on the default, sparse and noisy
-synthetic corpora (chronological 80/20 split, seed words
-``fault0_trap,fault1_trap``) at config seeds 1 and 2, scores each run on
-the held-out split and writes one JSON file. ``--side`` names the source
+Trains counting, no_selfsup and full, and the seed-only control (counting
+stopped after iteration 1, which labels by the seed words alone), on the
+default, sparse and noisy synthetic corpora (chronological 80/20 split)
+with the strong seed words ``fault0_trap,fault1_trap`` and the weak ones
+``fault1_trap,fault2_trap``, at config seeds 1 and 2. It scores each run
+on the held-out split and writes one JSON file. ``--side`` names the source
 tree under test; a run updates only its own side of an existing file, so
 two source trees can be compared in one file:
 
@@ -27,8 +29,14 @@ from loggad import classifier as clf
 from loggad import evaluation as ev
 from loggad.pipeline import PipelineConfig, run_pipeline, strip_gold
 
-SEED_KEYWORDS = ["fault0_trap", "fault1_trap"]
-MODES = ("counting", "no_selfsup", "full")
+SEED_SETS = {"strong": ["fault0_trap", "fault1_trap"], "weak": ["fault1_trap", "fault2_trap"]}
+# grid mode -> the PipelineConfig fields that make it
+MODES = {
+    "seed_only": {"annotator_mode": "counting", "max_iterations": 1},
+    "counting": {"annotator_mode": "counting"},
+    "no_selfsup": {"annotator_mode": "no_selfsup"},
+    "full": {"annotator_mode": "full"},
+}
 CONFIG_SEEDS = (1, 2)
 CORPORA = {
     "default": {"noise_rate": 0.1},
@@ -37,17 +45,17 @@ CORPORA = {
 }
 
 
-def run_cell(corpus: str, mode: str, seed: int) -> dict:
+def run_cell(corpus: str, seeds: str, mode: str, seed: int) -> dict:
     data = ev.generate_synthetic(ev.SyntheticSpec(**CORPORA[corpus]))
     train, test = ev.split_chronological(data, train_fraction=0.8)
-    config = PipelineConfig(annotator_mode=mode, seed=seed, seed_keywords=SEED_KEYWORDS)
+    config = PipelineConfig(**MODES[mode], seed=seed, seed_keywords=SEED_SETS[seeds])
     start = time.perf_counter()
     result = run_pipeline(strip_gold(train), config)
     seconds = time.perf_counter() - start
     predictions = {sid: label for sid, label, _ in clf.predict(result.classifier, strip_gold(test))}
     metrics = ev.score(predictions, {s.id: s.gold_label for s in test})
     return {
-        "corpus": corpus, "mode": mode, "config_seed": seed,
+        "corpus": corpus, "seed_keywords": SEED_SETS[seeds], "mode": mode, "config_seed": seed,
         "precision": round(metrics.precision, 4), "recall": round(metrics.recall, 4),
         "f1": round(metrics.f1, 4), "iterations": len(result.records),
         "seconds": round(seconds, 2),
@@ -64,16 +72,18 @@ def main(argv=None) -> int:
         "corpora": {name: {k: list(v) if isinstance(v, tuple) else v for k, v in spec.items()}
                     for name, spec in CORPORA.items()},
         "split": "chronological 80/20",
-        "seed_keywords": SEED_KEYWORDS,
+        "seed_keywords": SEED_SETS,
+        "modes": MODES,
         "config_seeds": list(CONFIG_SEEDS),
         "other_settings": "PipelineConfig defaults",
     })
     rows = []
     for corpus in CORPORA:
-        for mode in MODES:
-            for seed in CONFIG_SEEDS:
-                rows.append(run_cell(corpus, mode, seed))
-                print(json.dumps(rows[-1]), file=sys.stderr, flush=True)
+        for seeds in SEED_SETS:
+            for mode in MODES:
+                for seed in CONFIG_SEEDS:
+                    rows.append(run_cell(corpus, seeds, mode, seed))
+                    print(json.dumps(rows[-1]), file=sys.stderr, flush=True)
     bench.setdefault("sides", {})[args.side] = {
         "environment": {
             "python": platform.python_version(), "numpy": np.__version__,

@@ -31,6 +31,7 @@ EXIT_MISSING_INPUT = 2
 EXIT_VOCAB_MISMATCH = 3
 
 DETECT_BLOCK = 1024  # input lines parsed, predicted and written at a time
+POOL_MIN_BLOCKS = 3  # below this many blocks, forking the pool costs what it saves
 LOSS_PHASES = ("pretrain", "finetune", "classifier")
 
 
@@ -213,17 +214,21 @@ def _cpus() -> int:
 def _scored(score, blocks: Iterator) -> Iterator:
     """Yield ``score(block)`` for each block, in input order.
 
-    An input of more than one block is scored by a pool of forked worker
-    processes, one per CPU, which inherit ``score`` (and the model in it)
-    instead of unpickling it; at most workers + 1 blocks are in flight, so
-    memory does not grow with the input. One block, one CPU, or no ``fork``
-    start method scores inline. Closing the generator, or an error in a
-    block, shuts the pool down with the pending blocks cancelled.
+    An input of at least ``POOL_MIN_BLOCKS`` blocks is scored by a pool of
+    forked worker processes, one per CPU, which inherit ``score`` (and the
+    model in it) instead of unpickling it; at most workers + 1 blocks are
+    in flight, so memory does not grow with the input. Fewer blocks, one
+    CPU, or no ``fork`` start method scores inline. Closing the generator,
+    or an error in a block, shuts the pool down with the pending blocks
+    cancelled.
     """
-    head = list(islice(blocks, 2))
-    blocks = chain(head, blocks)
+    head = list(islice(blocks, POOL_MIN_BLOCKS))
     workers = _cpus()
-    pool = _fork_pool(workers, score) if len(head) > 1 and workers > 1 else None
+    pool = _fork_pool(workers, score) if len(head) == POOL_MIN_BLOCKS and workers > 1 else None
+    # chain keeps its arguments to the end: given the list, it would hold
+    # the head's blocks until the last block is scored
+    blocks = chain(iter(head), blocks)
+    del head
     if pool is None:
         yield from map(score, blocks)
         return

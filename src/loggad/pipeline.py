@@ -10,9 +10,10 @@ classifier predicts a single class ends the run at the previous iteration,
 whose results are kept.
 
 The first iteration pseudo-labels by the keyword vote in every mode, as
-counting mode does in all of them: its keywords are the seed words and as
-many bootstrap Normal words, a graph too small for the annotator to add
-anything to their vote. Fine-tuning targets are the decisive keyword votes;
+counting mode does in all of them. Its only keywords are the seed words,
+so its graph would hold only Anomaly vertices, and its vote is the seed
+split: Anomaly where a seed word occurs, an abstention (Normal at 0.5,
+flagged) everywhere else. Fine-tuning targets are the decisive keyword votes;
 a sequence whose vote falls below ``finetune_margin`` is trained toward the
 previous iteration's classifier label instead.
 
@@ -48,7 +49,6 @@ from loggad.keywords import (
     drift,
     extract_top,
     load_stopwords,
-    rank,
     score,
 )
 
@@ -181,18 +181,13 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, *stream])
 
 
-def bootstrap(
-    corpus: list[LogSequence],
-    config: PipelineConfig,
-    stopwords: Optional[frozenset[str]] = None,
-) -> KeywordSet:
-    """Initial keyword set, from the seed keywords.
+def bootstrap(corpus: list[LogSequence], config: PipelineConfig) -> KeywordSet:
+    """Initial keyword set: the seed keywords as the Anomaly list and an
+    empty Normal list.
 
-    The seed keywords are the Anomaly list. The Normal list is ranked with
-    the sequences that hold no seed word as the Normal class and the rest
-    as the Anomaly class. ``stopwords`` replaces the default
-    stopword list when given; ``run_pipeline`` loads it once from
-    ``config.stopwords_path``.
+    The seed words are ordered by their TF-IDF^M score over the seed split,
+    which puts the sequences that hold a seed word in the Anomaly class and
+    the rest in the Normal class.
     """
     if not corpus:
         raise PipelineError("empty corpus")
@@ -213,10 +208,7 @@ def bootstrap(
         ((w, scores[ANOMALY].get(w, (0.0, 0))[0]) for w in seed_set),
         key=lambda item: (-item[1], item[0]),
     )
-    # Initial normal list kept as short as the seed list: symmetric list
-    # sizes keep the term-frequency vote unbiased at cold start.
-    normal_list = rank(scores[NORMAL], stopwords)[: len(seed_set)]
-    return KeywordSet(normal=normal_list, anomaly=anomaly_list, iteration_index=0)
+    return KeywordSet(normal=[], anomaly=anomaly_list, iteration_index=0)
 
 
 def run_iteration(
@@ -235,16 +227,17 @@ def run_iteration(
     id; fine-tuning uses them for sequences whose keyword vote is indecisive.
     Without it, or in counting mode, the keyword vote pseudo-labels the
     corpus and no graph is built.
-    ``stopwords`` is as in ``bootstrap``. The annotator lives only inside
-    this call; only its pseudo-labels leave it. The record holds the new
-    keywords. Raises ``SingleClassError`` when the classifier predicts one
-    class for every sequence.
+    ``stopwords`` replaces keyword extraction's default stopword list when
+    given; ``run_pipeline`` loads it once from ``config.stopwords_path``.
+    The annotator lives only inside this call; only its pseudo-labels leave
+    it. The record holds the new keywords. Raises ``SingleClassError`` when
+    the classifier predicts one class for every sequence.
     """
     start = time.perf_counter()
     pretrain_trace: list[float] = []
     finetune_trace: list[float] = []
 
-    # no prior: iteration 1, whose graph is too small for a GIN to add to the vote
+    # no prior: iteration 1, whose graph would hold only the seed words' Anomaly vertices
     if config.annotator_mode == "counting" or prior is None:
         pseudo = ann.vote_annotate(corpus, keywords)
     else:
@@ -355,7 +348,7 @@ def run_pipeline(
             raise PipelineError(f"sequence id {seq.id!r} is repeated; ids must be unique")
         ids.add(seq.id)
     stopwords = load_stopwords(config.stopwords_path) if config.stopwords_path else None
-    keywords = bootstrap(corpus, config, stopwords)
+    keywords = bootstrap(corpus, config)
     records: list[IterationRecord] = []
     classifier = None
     pseudo: list[ann.PseudoLabel] = []

@@ -547,7 +547,7 @@ def sequence_lines(n, seed=0):
 
 
 class TestDetectPool:
-    """More than one block is scored by forked workers, with the inline path's bytes."""
+    """Three blocks or more are scored by forked workers, with the inline path's bytes."""
 
     def test_pool_and_inline_write_the_same_bytes(
         self, tmp_path, model_dir, monkeypatch, pools
@@ -612,8 +612,8 @@ class TestDetectPool:
         assert detect(model_dir, path, out) == EXIT_ERROR
         assert f"{path}, line {DETECT_BLOCK + 3}: invalid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", [1, DETECT_BLOCK])
-    def test_one_block_starts_no_pool(self, tmp_path, model_dir, monkeypatch, n):
+    @pytest.mark.parametrize("n", [1, DETECT_BLOCK, 2 * DETECT_BLOCK])
+    def test_fewer_than_three_blocks_start_no_pool(self, tmp_path, model_dir, monkeypatch, n):
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
         monkeypatch.setattr(
             concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: pytest.fail("pool started")

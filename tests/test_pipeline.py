@@ -10,10 +10,9 @@ import pytest
 
 from loggad import cli, ingest
 from loggad import evaluation as ev
-from loggad import keywords as kw
 from loggad import pipeline as pl
 from loggad.ingest import LogSequence
-from loggad.keywords import ANOMALY, NORMAL, extract_top
+from loggad.keywords import ANOMALY, NORMAL
 from loggad.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -178,21 +177,11 @@ class TestBootstrap:
         keywords = bootstrap(strip_gold(corpus), cfg)
         assert sorted(w for w, _ in keywords.anomaly) == sorted(cfg.seed_keywords)
         assert keywords.iteration_index == 0
-        assert len(keywords.normal) == len(keywords.anomaly)
+        assert keywords.normal == []
 
-    def test_normal_list_ranked_from_sequences_without_a_seed_word(self):
+    def test_one_score_pass_orders_the_seed_words(self, monkeypatch):
         corpus, _ = tiny_corpus()
-        cfg = fast_config()
-        keywords = bootstrap(strip_gold(corpus), cfg)
-        split = seed_split(corpus, cfg.seed_keywords)
-        seed_free = set().union(*(seq.tokens for seq, label in split if label == NORMAL))
-        assert keywords.normal
-        assert all(w in seed_free for w in keywords.class_words(NORMAL))
-
-    @pytest.mark.parametrize("stopwords", [None, frozenset({"svc10_ok"})])
-    def test_one_score_pass_gives_extract_tops_normal_list(self, monkeypatch, stopwords):
-        corpus, _ = tiny_corpus()
-        cfg = fast_config()
+        cfg = fast_config(seed_keywords=["fault0_trap", "fault1_trap", "fault2_trap"])
         passes = []
         score = pl.score
 
@@ -201,12 +190,13 @@ class TestBootstrap:
             return score(*args)
 
         monkeypatch.setattr(pl, "score", counted)
-        monkeypatch.setattr(kw, "score", counted)
-        keywords = bootstrap(strip_gold(corpus), cfg, stopwords)
+        keywords = bootstrap(strip_gold(corpus), cfg)
         assert len(passes) == 1
-        split = seed_split(corpus, cfg.seed_keywords)
-        expected = extract_top(split, len(keywords.anomaly), cfg.idf_exponent, stopwords)
-        assert keywords.normal == expected.normal
+        scores = score(seed_split(corpus, cfg.seed_keywords), cfg.idf_exponent)[ANOMALY]
+        expected = sorted(
+            ((w, scores[w][0]) for w in cfg.seed_keywords), key=lambda item: (-item[1], item[0])
+        )
+        assert keywords.anomaly == expected
 
     def test_seeded_requires_seeds(self):
         corpus, _ = tiny_corpus()
@@ -265,6 +255,21 @@ class TestRunPipeline:
         assert result.records[0].pretrain_trace == result.records[0].finetune_trace == []
         assert len(result.records[1].pretrain_trace) > 0
         assert len(result.records[1].finetune_trace) > 0
+
+    @pytest.mark.parametrize("mode", ["counting", "no_selfsup", "full"])
+    def test_iteration_1_labels_by_the_seed_split(self, tmp_path, mode):
+        # the Normal list starts empty, so a sequence with a seed word votes
+        # Anomaly unanimously and every other sequence abstains
+        corpus, _ = tiny_corpus()
+        cfg = fast_config(annotator_mode=mode, max_iterations=2, gin_hidden=16)
+        run_pipeline(corpus, cfg, out_dir=tmp_path)
+        assert json.loads((tmp_path / "keywords_000.json").read_text())["normal"] == []
+        seeds = set(cfg.seed_keywords)
+        rows = [json.loads(line) for line in (tmp_path / "pseudo_labels_001.jsonl").open()]
+        assert [row["id"] for row in rows] == [seq.id for seq in corpus]
+        for row, seq in zip(rows, corpus):
+            expected = (ANOMALY, 1.0, False) if seeds & set(seq.tokens) else (NORMAL, 0.5, True)
+            assert (row["label"], row["confidence"], row["flagged"]) == expected
 
     def test_repeated_id_rejected_before_bootstrap(self, tmp_path, monkeypatch):
         corpus, _ = tiny_corpus()
