@@ -96,12 +96,12 @@ class _Pass:
     readout: np.ndarray  # (B, readout_dim)
     logits: np.ndarray  # (B, 2)
 
-    def aggregate(self, H: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Each subgraph's adjacency (or its transpose) times its own rows of H."""
+    def aggregate(self, H: np.ndarray) -> np.ndarray:
+        """Each subgraph's adjacency (symmetric, so also its transpose) times its own rows of H."""
         out = np.empty_like(H)
         for A, s in zip(self.adjacency, self.starts):
             rows = slice(s, s + A.shape[0])
-            np.matmul(A.T if transpose else A, H[rows], out=out[rows])
+            np.matmul(A, H[rows], out=out[rows])
         return out
 
 
@@ -178,7 +178,7 @@ def loss_and_grads(model: AnnotatorModel, sgs: list, targets) -> tuple[float, nn
         dZ *= 1.0 - T * T
         grads[f"b1_{k}"] = dZ.sum(axis=0)
         grads[f"eps{k}"] = np.array([np.vdot(dZ, H)])
-        dH = fp.aggregate(dZ, transpose=True)
+        dH = fp.aggregate(dZ)
         dH += (1.0 + p[f"eps{k}"][0]) * dZ
         P = fp.reps.pop()  # R^(k-1)
         grads[f"W1_{k}"] = P.T @ dH

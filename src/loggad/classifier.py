@@ -21,6 +21,9 @@ on which sequences share the call.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import zipfile
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -68,15 +71,14 @@ class ClassifierModel:
 
     @property
     def vocab_hash(self) -> str:
-        return nn.vocab_digest(sorted(self.vocab))
+        """Stable hash identifying the vocabulary, whatever its row order."""
+        payload = json.dumps(sorted(self.vocab), ensure_ascii=False).encode()
+        return hashlib.sha256(payload).hexdigest()
 
     def token_ids(self, tokens: Iterable[str]) -> np.ndarray:
         return np.array([self.vocab.get(t, UNK) for t in tokens], dtype=np.int64)
 
     def save(self, path) -> None:
-        words = [None] * (len(self.vocab) + 1)
-        for tok, i in self.vocab.items():
-            words[i] = tok
         nn.save_checkpoint(
             path,
             self.params,
@@ -84,22 +86,36 @@ class ClassifierModel:
                 "kind": "classifier",
                 "embed_dim": self.embed_dim,
                 "hidden": self.hidden,
-                "vocab": words[1:],
+                "vocab": list(self.vocab),  # in row order, as create and load build it
                 "vocab_hash": self.vocab_hash,
             },
         )
 
     @classmethod
     def load(cls, path) -> "ClassifierModel":
-        params, meta = nn.load_checkpoint(path)
+        """The model ``save`` wrote to ``path``; any other file raises
+        ClassifierError naming it."""
+        try:
+            params, meta = nn.load_checkpoint(path)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ClassifierError(f"{path}: not a loggad classifier checkpoint: {exc}") from None
         if meta.get("kind") != "classifier":
-            raise ClassifierError(f"not a classifier checkpoint: {meta.get('kind')}")
-        vocab = {tok: i + 1 for i, tok in enumerate(meta["vocab"])}
-        model = cls(
-            params=params, vocab=vocab, embed_dim=meta["embed_dim"], hidden=meta["hidden"]
-        )
-        if meta["vocab_hash"] != model.vocab_hash:
-            raise ClassifierError("checkpoint vocabulary hash mismatch")
+            raise ClassifierError(f"{path}: not a classifier checkpoint: {meta.get('kind')}")
+        words, embed_dim, hidden = meta.get("vocab"), meta.get("embed_dim"), meta.get("hidden")
+        if not (isinstance(words, list) and all(isinstance(w, str) for w in words)
+                and len(set(words)) == len(words)):
+            problem = "'vocab' is missing or not a list of distinct str"
+        else:  # shapes compare by value, so a non-numeric embed_dim or hidden fails here
+            shapes = {"emb": (len(words) + 1, embed_dim), "W1": (embed_dim, hidden),
+                      "b1": (hidden,), "W2": (hidden, 2), "b2": (2,)}
+            found = {k: v.shape for k, v in params.items()}
+            problem = None if found == shapes else f"parameters {found}, expected {shapes}"
+        if problem:
+            raise ClassifierError(f"{path}: not a loggad classifier checkpoint: {problem}")
+        vocab = {tok: i + 1 for i, tok in enumerate(words)}
+        model = cls(params=params, vocab=vocab, embed_dim=embed_dim, hidden=hidden)
+        if meta.get("vocab_hash") != model.vocab_hash:
+            raise ClassifierError(f"{path}: checkpoint vocabulary hash mismatch")
         return model
 
 

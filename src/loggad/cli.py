@@ -23,14 +23,13 @@ from typing import Iterator
 from loggad import classifier as clf
 from loggad import evaluation as ev
 from loggad import ingest
-from loggad.pipeline import PipelineConfig, PipelineError, run_pipeline
+from loggad.pipeline import PipelineConfig, PipelineError, run_pipeline, word_list
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MISSING_INPUT = 2
 EXIT_VOCAB_MISMATCH = 3
 
-DETECT_BLOCK = 1024  # input lines parsed, predicted and written at a time
 POOL_MIN_BLOCKS = 3  # below this many blocks, forking the pool costs what it saves
 LOSS_PHASES = ("pretrain", "finetune", "classifier")
 
@@ -146,7 +145,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.seed_keywords:
-        overrides["seed_keywords"] = [w.strip() for w in args.seed_keywords.split(",") if w.strip()]
+        overrides["seed_keywords"] = word_list(args.seed_keywords)
     if overrides:
         config = replace(config, **overrides)
     corpus = ingest.read_jsonl(seq_path)
@@ -172,14 +171,14 @@ def cmd_detect(args) -> int:
         return EXIT_VOCAB_MISMATCH
     manifest_path = model_dir.parent / "manifest.json"
     if manifest_path.is_file():
-        manifest = _run_json(manifest_path)
-        if manifest.get("classifier_vocab_hash") not in (None, model.vocab_hash):
+        manifest = _run_json(manifest_path, classifier_vocab_hash=str)
+        if manifest["classifier_vocab_hash"] != model.vocab_hash:
             print("error: model vocabulary hash does not match run manifest", file=sys.stderr)
             return EXIT_VOCAB_MISMATCH
     # written beside --out and moved over it only once every block is written,
     # so a bad input line leaves an existing --out as it was
     partial_out = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-    blocks = ingest.raw_blocks(seq_path, DETECT_BLOCK)
+    blocks = ingest.raw_blocks(seq_path)  # ingest.BLOCK_LINES lines parsed and scored at a time
     written = 0
     try:
         with open(partial_out, "w", encoding="utf-8") as fh, closing(
@@ -217,21 +216,27 @@ def _scored(score, blocks: Iterator) -> Iterator:
     An input of at least ``POOL_MIN_BLOCKS`` blocks is scored by a pool of
     forked worker processes, one per CPU, which inherit ``score`` (and the
     model in it) instead of unpickling it; at most workers + 1 blocks are
-    in flight, so memory does not grow with the input. Fewer blocks, one
-    CPU, or no ``fork`` start method scores inline. Closing the generator,
-    or an error in a block, shuts the pool down with the pending blocks
-    cancelled.
+    in flight, so memory does not grow with the input. Fewer blocks, or one
+    CPU, scores inline. Closing the generator, or an error in a block,
+    shuts the pool down with the pending blocks cancelled.
     """
     head = list(islice(blocks, POOL_MIN_BLOCKS))
-    workers = _cpus()
-    pool = _fork_pool(workers, score) if len(head) == POOL_MIN_BLOCKS and workers > 1 else None
+    workers = _cpus() if len(head) == POOL_MIN_BLOCKS else 1
     # chain keeps its arguments to the end: given the list, it would hold
     # the head's blocks until the last block is scored
     blocks = chain(iter(head), blocks)
     del head
-    if pool is None:
+    if workers == 1:
         yield from map(score, blocks)
         return
+    # imported here, not with the CLI: they add 2 MiB to any process that imports them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(score,),
+    )
     try:
         pending = deque()
         for block in blocks:
@@ -242,22 +247,6 @@ def _scored(score, blocks: Iterator) -> Iterator:
             yield pending.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _fork_pool(workers: int, score):
-    """A pool of ``workers`` forked processes that inherit ``score``, or None
-    without a ``fork`` start method. Its modules are imported here, not with
-    the CLI: they add 2 MiB to the memory of any process that imports them."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker, initargs=(score,),
-    )
 
 
 _worker_score = None  # a detect worker's ``score``, set as the worker starts
@@ -273,6 +262,8 @@ def _score_in_worker(block):
 
 
 def cmd_report(args) -> int:
+    if args.top < 1:
+        raise ValueError(f"--top must be >= 1, got {args.top}")
     run_dir = Path(args.run_dir)
     manifest_path = run_dir / "manifest.json"
     manifest = _run_json(manifest_path, iterations=list)

@@ -4,8 +4,7 @@ Scoring is term frequency within a predicted class times a smoothed
 inverse document frequency raised to an exponent: the exponent sharpens
 the preference for rare, class-specific words over merely frequent ones.
 ``score`` counts document and term frequencies of both classes in one
-pass over the corpus and ``rank`` orders one class's result; keyword
-selection and the bootstrap both read one ``score`` pass.
+pass over the corpus, which keyword selection and the bootstrap share.
 Drift between two iterations' keyword sets is the fraction of current
 keywords that were not present in the previous set; it is the pipeline's
 convergence signal.
@@ -17,7 +16,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from loggad.ingest import NUM_SENTINEL, LogSequence, numbered_lines
 
@@ -43,22 +42,19 @@ class KeywordSet:
 
     normal: list[tuple[str, float]]
     anomaly: list[tuple[str, float]]
-    iteration_index: int = 0
     warnings: list[str] = field(default_factory=list)
 
-    def class_list(self, class_t: int) -> list[tuple[str, float]]:
-        return self.anomaly if class_t == ANOMALY else self.normal
-
     def class_words(self, class_t: int) -> list[str]:
-        return [w for w, _ in self.class_list(class_t)]
+        return [w for w, _ in (self.anomaly if class_t == ANOMALY else self.normal)]
 
     def all_words(self) -> set[str]:
         return {w for w, _ in self.normal} | {w for w, _ in self.anomaly}
 
-    def to_json(self) -> str:
+    def to_json(self, iteration: int) -> str:
+        """The set as the ``keywords_NNN.json`` of ``iteration`` holds it."""
         return json.dumps(
             {
-                "iteration": self.iteration_index,
+                "iteration": iteration,
                 "normal": [[w, s] for w, s in self.normal],
                 "anomaly": [[w, s] for w, s in self.anomaly],
             },
@@ -92,53 +88,31 @@ def score(corpus: ClassifiedCorpus, M: int) -> dict[int, dict[str, tuple[float, 
     }
 
 
-def rank(
-    class_scores: dict[str, tuple[float, int]],
-    stopwords: Optional[frozenset[str] | set[str]] = None,
-) -> list[tuple[str, float]]:
-    """Every candidate keyword of one class of ``score``'s result, best first.
+def extract_top(
+    corpus: ClassifiedCorpus, Z: int, M: int, stopwords: Optional[frozenset[str] | set[str]] = None
+) -> KeywordSet:
+    """Select the top-Z keywords per class by TF-IDF^M (see ``score``).
 
     Higher TF-IDF^M ranks first; ties break by higher TF, then
     lexicographically. The digit sentinel and stopwords (the default list
-    when ``stopwords`` is None) never qualify.
-    """
-    stop = DEFAULT_STOPWORDS if stopwords is None else stopwords
-    scored = sorted(
-        ((w, s, count) for w, (s, count) in class_scores.items()
-         if w != NUM_SENTINEL and w not in stop),
-        key=lambda item: (-item[1], -item[2], item[0]),
-    )
-    return [(w, s) for w, s, _ in scored]
-
-
-def extract_top(
-    corpus: ClassifiedCorpus,
-    Z: int,
-    M: int,
-    stopwords: Optional[frozenset[str] | set[str]] = None,
-    iteration_index: int = 0,
-) -> KeywordSet:
-    """Select the top-Z keywords per class by TF-IDF^M (see ``score`` and
-    ``rank``). A class with fewer than Z candidates yields a shorter list
-    plus a warning.
+    when ``stopwords`` is None) never qualify. A class with fewer than Z
+    candidates yields a shorter list plus a warning.
     """
     if Z < 1:
         raise KeywordError("Z must be >= 1")
+    stop = DEFAULT_STOPWORDS if stopwords is None else stopwords
     lists: dict[int, list[tuple[str, float]]] = {}
     warnings: list[str] = []
     for class_t, scores in score(corpus, M).items():
-        ranked = rank(scores, stopwords)
+        ranked = sorted(
+            ((w, s, count) for w, (s, count) in scores.items()
+             if w != NUM_SENTINEL and w not in stop),
+            key=lambda item: (-item[1], -item[2], item[0]),
+        )
         if len(ranked) < Z:
-            warnings.append(
-                f"class {class_t}: only {len(ranked)} candidate keywords (< Z={Z})"
-            )
-        lists[class_t] = ranked[:Z]
-    return KeywordSet(
-        normal=lists[NORMAL],
-        anomaly=lists[ANOMALY],
-        iteration_index=iteration_index,
-        warnings=warnings,
-    )
+            warnings.append(f"class {class_t}: only {len(ranked)} candidate keywords (< Z={Z})")
+        lists[class_t] = [(w, s) for w, s, _ in ranked[:Z]]
+    return KeywordSet(normal=lists[NORMAL], anomaly=lists[ANOMALY], warnings=warnings)
 
 
 def drift(current: KeywordSet, previous: KeywordSet) -> float:

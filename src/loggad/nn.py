@@ -11,7 +11,6 @@ the global clip norm among them.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Callable, Dict, Iterable, Iterator, Sequence
 
@@ -155,17 +154,21 @@ def save_checkpoint(path, params: Params, meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[Params, dict]:
-    with np.load(path) as data:
+    """Parameters and metadata as ``save_checkpoint`` wrote them. A file that
+    is not such a checkpoint raises ValueError, EOFError (an empty file) or
+    zipfile.BadZipFile (a damaged archive)."""
+    data = np.load(path)  # a pickle raises ValueError: allow_pickle is off
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("not an .npz archive")
+    with data:
+        if "__meta__" not in data.files:
+            raise ValueError("no __meta__ entry")
         meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta.get("format_version") != 1:
-            raise ValueError(f"unsupported checkpoint format: {meta.get('format_version')}")
+        version = meta.get("format_version") if isinstance(meta, dict) else None
+        if version != 1:
+            raise ValueError(f"unsupported checkpoint format: {version}")
         params = {
             k[len("param__") :]: data[k].copy() for k in data.files if k.startswith("param__")
         }
     return params, meta
 
-
-def vocab_digest(items) -> str:
-    """Stable hash identifying a vocabulary (or any ordered word list)."""
-    payload = json.dumps(list(items), ensure_ascii=False).encode()
-    return hashlib.sha256(payload).hexdigest()

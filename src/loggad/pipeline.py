@@ -65,14 +65,13 @@ class SingleClassError(PipelineError):
 ANNOTATOR_MODES = ("full", "no_selfsup", "counting")
 
 
+def word_list(raw: str) -> list[str]:
+    """The non-blank words of a comma-separated list, stripped."""
+    return [w.strip() for w in raw.split(",") if w.strip()]
+
+
 # PipelineConfig field type -> parser of its INI value
-_INI_PARSERS = {
-    int: int,
-    float: float,
-    str: str,
-    Optional[str]: str,
-    list[str]: lambda raw: [w.strip() for w in raw.split(",") if w.strip()],
-}
+_INI_PARSERS = {int: int, float: float, str: str, Optional[str]: str, list[str]: word_list}
 
 
 @dataclass
@@ -164,8 +163,7 @@ class IterationRecord:
 @dataclass
 class PipelineResult:
     classifier: clf.ClassifierModel
-    records: list[IterationRecord]
-    keywords: KeywordSet
+    records: list[IterationRecord]  # the last one holds the run's keywords
     predictions: list[tuple[str, int, float]]
     pseudo_labels: list[ann.PseudoLabel]
     converged: bool
@@ -208,7 +206,7 @@ def bootstrap(corpus: list[LogSequence], config: PipelineConfig) -> KeywordSet:
         ((w, scores[ANOMALY].get(w, (0.0, 0))[0]) for w in seed_set),
         key=lambda item: (-item[1], item[0]),
     )
-    return KeywordSet(normal=[], anomaly=anomaly_list, iteration_index=0)
+    return KeywordSet(normal=[], anomaly=anomaly_list)
 
 
 def run_iteration(
@@ -299,11 +297,7 @@ def run_iteration(
     classified: ClassifiedCorpus = [(seq, pred_by_id[seq.id]) for seq in corpus]
 
     new_keywords = extract_top(
-        classified,
-        config.keywords_per_class,
-        config.idf_exponent,
-        stopwords=stopwords,
-        iteration_index=iteration,
+        classified, config.keywords_per_class, config.idf_exponent, stopwords=stopwords
     )
     gamma = drift(new_keywords, keywords)
     counts = {NORMAL: 0, ANOMALY: 0}
@@ -336,7 +330,7 @@ def run_pipeline(
 
     When an iteration after the first ends with a classifier that predicts a
     single class, the run stops there and returns the previous iteration's
-    classifier, predictions and keywords, with the reason in
+    classifier and predictions, its record last, with the reason in
     ``stop_reason`` and in the manifest. In the first iteration that, like
     any other iteration failure, raises ``PipelineError``; so does a
     sequence id that occurs twice, before any training.
@@ -359,7 +353,7 @@ def run_pipeline(
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "keywords_000.json").write_text(keywords.to_json() + "\n")
+        (out / "keywords_000.json").write_text(keywords.to_json(0) + "\n")
 
     for iteration in range(1, config.max_iterations + 1):
         try:
@@ -391,7 +385,6 @@ def run_pipeline(
     result = PipelineResult(
         classifier=classifier,
         records=records,
-        keywords=keywords,
         predictions=predictions,
         pseudo_labels=pseudo,
         converged=converged,
@@ -412,7 +405,7 @@ def corpus_hash(corpus: list[LogSequence]) -> str:
 
 def _write_iteration_artifacts(out: Path, record, pseudo, predictions) -> None:
     k = record.iteration
-    (out / f"keywords_{k:03d}.json").write_text(record.keywords.to_json() + "\n")
+    (out / f"keywords_{k:03d}.json").write_text(record.keywords.to_json(k) + "\n")
     with open(out / f"pseudo_labels_{k:03d}.jsonl", "w") as fh:
         for pl in pseudo:
             fh.write(

@@ -12,13 +12,13 @@ from loggad import classifier as clf
 from loggad import cli, ingest, nn
 from loggad import pipeline as pl
 from loggad.cli import (
-    DETECT_BLOCK,
     EXIT_ERROR,
     EXIT_MISSING_INPUT,
     EXIT_OK,
     EXIT_VOCAB_MISMATCH,
     main,
 )
+from loggad.ingest import BLOCK_LINES
 
 
 def run(argv):
@@ -392,7 +392,7 @@ def detect(model_dir, sequences, out):
 
 class TestDetectStreaming:
     def test_output_is_json_dumps_of_whole_corpus_predict(self, tmp_path, model_dir):
-        n = 2 * DETECT_BLOCK + 37
+        n = 2 * BLOCK_LINES + 37
         ids = ['q"uote', "back\\slash", "ctl\x01\x1f", "ünïcødé ☃ 😀", "tab\tnl\u2028"]
         corpus = random_sequences(n, ids=ids)
         path = tmp_path / "seqs.jsonl"
@@ -421,9 +421,9 @@ class TestDetectStreaming:
     )
     def test_bad_line_exits_1_naming_it_and_keeps_out(self, tmp_path, model_dir, capsys, bad):
         good = tmp_path / "good.jsonl"
-        ingest.write_jsonl(random_sequences(DETECT_BLOCK + 500), good)
+        ingest.write_jsonl(random_sequences(BLOCK_LINES + 500), good)
         text = good.read_text().splitlines()
-        bad_line = DETECT_BLOCK + 300  # after a whole block has been predicted and written
+        bad_line = BLOCK_LINES + 300  # after a whole block has been predicted and written
         text[bad_line - 1] = bad
         path = tmp_path / "seqs.jsonl"
         path.write_text("\n".join(text) + "\n")
@@ -485,7 +485,7 @@ class TestDetectStreaming:
 
     def test_peak_memory_does_not_grow_with_the_input(self, tmp_path, model_dir):
         # the small input fills the pool's window of workers + 1 blocks in flight
-        small = max(2_500, cli._cpus() * DETECT_BLOCK + 1)
+        small = max(2_500, cli._cpus() * BLOCK_LINES + 1)
         peaks = []
         for n in (small, 8 * small):
             path = tmp_path / f"seqs_{n}.jsonl"
@@ -553,7 +553,7 @@ class TestDetectPool:
         self, tmp_path, model_dir, monkeypatch, pools
     ):
         path = tmp_path / "seqs.jsonl"
-        ingest.write_jsonl(random_sequences(2 * DETECT_BLOCK + 37), path)
+        ingest.write_jsonl(random_sequences(2 * BLOCK_LINES + 37), path)
         written = {}
         for cpus in (1, 2):
             monkeypatch.setattr(cli, "_cpus", lambda: cpus)
@@ -562,7 +562,7 @@ class TestDetectPool:
             written[cpus] = out.read_bytes()
             assert len(pools) == cpus - 1
         assert written[1] == written[2]
-        assert written[1].count(b"\n") == 2 * DETECT_BLOCK + 37
+        assert written[1].count(b"\n") == 2 * BLOCK_LINES + 37
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -571,16 +571,16 @@ class TestDetectPool:
     ):
         monkeypatch.setattr(cli, "_cpus", lambda: cpus)
         path = tmp_path / "seqs.jsonl"
-        ingest.write_jsonl(random_sequences(8 * DETECT_BLOCK), path)
+        ingest.write_jsonl(random_sequences(8 * BLOCK_LINES), path)
         assert detect(model_dir, path, tmp_path / "preds.jsonl") == EXIT_OK
         assert [(pool.most_in_flight, pool.in_flight) for pool in pools] == [(cpus + 1, 0)]
 
-    @pytest.mark.parametrize("bad_line", [2 * DETECT_BLOCK + 1, 4 * DETECT_BLOCK - 5])
+    @pytest.mark.parametrize("bad_line", [2 * BLOCK_LINES + 1, 4 * BLOCK_LINES - 5])
     def test_bad_line_in_a_late_block_leaves_no_worker_and_keeps_out(
         self, tmp_path, model_dir, monkeypatch, pools, capsys, bad_line
     ):
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        lines = sequence_lines(5 * DETECT_BLOCK)
+        lines = sequence_lines(5 * BLOCK_LINES)
         lines[bad_line - 1] = '{"id": "x"}'
         path = lines_file(tmp_path / "seqs.jsonl", lines)
         out = tmp_path / "preds.jsonl"
@@ -599,20 +599,20 @@ class TestDetectPool:
         self, tmp_path, model_dir, monkeypatch, capsys, cpus
     ):
         monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-        lines = sequence_lines(3 * DETECT_BLOCK)
-        for n in (DETECT_BLOCK - 1, DETECT_BLOCK, DETECT_BLOCK + 1, DETECT_BLOCK + 2):
+        lines = sequence_lines(3 * BLOCK_LINES)
+        for n in (BLOCK_LINES - 1, BLOCK_LINES, BLOCK_LINES + 1, BLOCK_LINES + 2):
             lines[n - 1] = "  "
         path = lines_file(tmp_path / "seqs.jsonl", lines)
         out = tmp_path / "preds.jsonl"
         assert detect(model_dir, path, out) == EXIT_OK
-        assert out.read_text().count("\n") == 3 * DETECT_BLOCK - 4
-        lines[DETECT_BLOCK + 2] = "not json"
+        assert out.read_text().count("\n") == 3 * BLOCK_LINES - 4
+        lines[BLOCK_LINES + 2] = "not json"
         lines_file(path, lines)
         capsys.readouterr()
         assert detect(model_dir, path, out) == EXIT_ERROR
-        assert f"{path}, line {DETECT_BLOCK + 3}: invalid JSON" in capsys.readouterr().err
+        assert f"{path}, line {BLOCK_LINES + 3}: invalid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("n", [1, DETECT_BLOCK, 2 * DETECT_BLOCK])
+    @pytest.mark.parametrize("n", [1, BLOCK_LINES, 2 * BLOCK_LINES])
     def test_fewer_than_three_blocks_start_no_pool(self, tmp_path, model_dir, monkeypatch, n):
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
         monkeypatch.setattr(
@@ -814,6 +814,25 @@ class TestRunDirectoryFiles:
             "at line 6, column 5\n"
         )
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_report_top_below_1_exits_1_naming_it(self, counting_run, capsys, top):
+        code = run(["report", "--run-dir", str(counting_run), "--top", top])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: --top must be >= 1, got {top}\n"
+
+    def test_detect_manifest_without_vocab_hash_exits_1_naming_it(
+        self, tmp_path, counting_run, synth_corpus, capsys
+    ):
+        path = counting_run / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["classifier_vocab_hash"]
+        path.write_text(json.dumps(manifest))
+        code = run(["detect", "--model-dir", str(counting_run / "model"),
+                    "--sequences", str(synth_corpus), "--out", str(tmp_path / "p.jsonl")])
+        assert code == EXIT_ERROR
+        assert (f"error: {path}: 'classifier_vocab_hash' is missing or not a str"
+                in capsys.readouterr().err)
+
     def test_report_keywords_not_json_exits_1_naming_it(self, counting_run, capsys):
         path = counting_run / "keywords_001.json"
         path.write_text("not json\n")
@@ -859,22 +878,67 @@ class TestRunDirectoryFiles:
         assert last.endswith("; kept iteration 1")
 
 
-@pytest.mark.parametrize(
-    "meta, problem",
-    [
-        ({"kind": "annotator"}, "not a classifier checkpoint: annotator"),
-        ({"vocab_hash": "tampered"}, "checkpoint vocabulary hash mismatch"),
-    ],
-    ids=["kind", "vocab-hash"],
-)
-def test_detect_rejected_checkpoint_exits_3(tmp_path, model_dir, capsys, meta, problem):
-    checkpoint = model_dir / "classifier.npz"
+def _with_meta(**meta):
+    """Rewrite a checkpoint with ``meta`` merged into its metadata."""
+    def corrupt(checkpoint):
+        params, saved = nn.load_checkpoint(checkpoint)
+        nn.save_checkpoint(checkpoint, params, {**saved, **meta})
+    return corrupt
+
+
+def _without_meta(checkpoint):
+    params, _ = nn.load_checkpoint(checkpoint)
+    np.savez(checkpoint, **{f"param__{k}": v for k, v in params.items()})
+
+
+def _without_vocab(checkpoint):
     params, saved = nn.load_checkpoint(checkpoint)
-    nn.save_checkpoint(checkpoint, params, {**saved, **meta})
+    del saved["vocab"]
+    nn.save_checkpoint(checkpoint, params, saved)
+
+
+def _text_file(checkpoint):
+    checkpoint.write_text("not a checkpoint\n")
+
+
+def _empty_file(checkpoint):
+    checkpoint.write_bytes(b"")
+
+
+def _npy_file(checkpoint):
+    with open(checkpoint, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+def _one_word_too_many(checkpoint):
+    model = clf.ClassifierModel.load(checkpoint)
+    model.vocab["extra_word"] = len(model.vocab) + 1  # saved with its hash, but no emb row
+    model.save(checkpoint)
+
+
+@pytest.mark.parametrize(
+    "corrupt, problem",
+    [
+        (_with_meta(kind="annotator"), "not a classifier checkpoint: annotator"),
+        (_with_meta(vocab_hash="tampered"), "checkpoint vocabulary hash mismatch"),
+        (_without_meta, "not a loggad classifier checkpoint: no __meta__ entry"),
+        (_without_vocab, "not a loggad classifier checkpoint: 'vocab' is missing"),
+        (_text_file, "not a loggad classifier checkpoint: This file contains pickled"),
+        (_empty_file, "not a loggad classifier checkpoint: No data left in file"),
+        (_npy_file, "not a loggad classifier checkpoint: not an .npz archive"),
+        (_one_word_too_many, "not a loggad classifier checkpoint: parameters"),
+    ],
+    ids=["kind", "vocab-hash", "no-meta", "no-vocab", "text-file", "empty-file", "npy-file",
+         "vocab-longer-than-emb"],
+)
+def test_detect_rejected_checkpoint_exits_3(tmp_path, model_dir, capsys, corrupt, problem):
+    checkpoint = model_dir / "classifier.npz"
+    corrupt(checkpoint)
     path = tmp_path / "seqs.jsonl"
     ingest.write_jsonl(random_sequences(3), path)
     assert detect(model_dir, path, tmp_path / "preds.jsonl") == EXIT_VOCAB_MISMATCH
-    assert f"error: {problem}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {checkpoint}: {problem}") and "Traceback" not in err
 
 
 def test_eval_prediction_missing_a_gold_id_exits_1(tmp_path, capsys):

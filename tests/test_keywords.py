@@ -234,14 +234,14 @@ class TestDrift:
 
 class TestSerialization:
     def test_json_round_trip(self):
-        ks = extract_top(TOY, Z=5, M=4, iteration_index=3)
-        back = json.loads(ks.to_json())
+        ks = extract_top(TOY, Z=5, M=4)
+        back = json.loads(ks.to_json(3))
         assert [tuple(pair) for pair in back["normal"]] == ks.normal
         assert [tuple(pair) for pair in back["anomaly"]] == ks.anomaly
         assert back["iteration"] == 3
 
     def test_json_shape(self):
-        obj = json.loads(kwset(["n"], ["a"]).to_json())
+        obj = json.loads(kwset(["n"], ["a"]).to_json(0))
         assert set(obj) == {"iteration", "normal", "anomaly"}
 
 

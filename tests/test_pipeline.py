@@ -176,7 +176,6 @@ class TestBootstrap:
         cfg = fast_config()
         keywords = bootstrap(strip_gold(corpus), cfg)
         assert sorted(w for w, _ in keywords.anomaly) == sorted(cfg.seed_keywords)
-        assert keywords.iteration_index == 0
         assert keywords.normal == []
 
     def test_one_score_pass_orders_the_seed_words(self, monkeypatch):
@@ -359,7 +358,6 @@ class TestRunPipeline:
         assert len(result.records) == 1 and not result.converged
         assert result.classifier is classifiers[0]
         assert result.predictions == real[0]
-        assert result.keywords == result.records[0].keywords
         assert result.stop_reason.startswith("iteration 2: ")
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stop_reason"] == result.stop_reason
@@ -438,7 +436,8 @@ class TestGoldFirewall:
         r1 = run_pipeline(corpus, cfg, out_dir=out_clean)
         r2 = run_pipeline(poisoned, cfg, out_dir=out_poisoned)
         assert r1.predictions == r2.predictions
-        assert [w for w, _ in r1.keywords.anomaly] == [w for w, _ in r2.keywords.anomaly]
+        k1, k2 = r1.records[-1].keywords, r2.records[-1].keywords
+        assert [w for w, _ in k1.anomaly] == [w for w, _ in k2.anomaly]
         td = TestDeterminism()
         assert td.artifact_bytes(out_clean) == td.artifact_bytes(out_poisoned)
 
@@ -538,3 +537,11 @@ class TestArtifacts:
         assert len(lines) == len(corpus)
         row = json.loads(lines[0])
         assert set(row) == {"id", "label", "confidence", "flagged"}
+
+    def test_keyword_files_hold_their_iteration(self, tmp_path):
+        corpus, _ = tiny_corpus()
+        out = tmp_path / "run"
+        result = run_pipeline(corpus, fast_config(drift_threshold=-1.0), out_dir=out)
+        assert [r.iteration for r in result.records] == [1, 2, 3]
+        for k in range(4):  # keywords_000.json is the bootstrap's
+            assert json.loads((out / f"keywords_{k:03d}.json").read_text())["iteration"] == k
