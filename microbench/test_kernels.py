@@ -1,5 +1,6 @@
 """Micro-benchmarks of the two trainable models' batched kernels, one
-classifier training epoch (the per-step cost of ``nn.fit``), one Adam step
+classifier training epoch (the per-step cost of ``nn.fit``), classifier
+prediction on 1,000 sequences and on one 50-sequence batch, one Adam step
 at each model's size, walk sampling, the event graph and keyword kernels, the seed-word bootstrap,
 the synthetic generator, the JSONL read paths, and ``loggad detect`` on
 each side of its pool-or-inline choice.
@@ -131,6 +132,13 @@ def test_classifier_predict_1000(benchmark, corpus):
     model = clf.ClassifierModel.create(corpus[:400], np.random.default_rng(3))
     out = benchmark(clf.predict, model, corpus[400:])
     assert len(out) == 1_000
+
+
+def test_classifier_predict_50(benchmark, corpus):
+    # one batch of perfbench's detect_batch_ms_p50: 50 sequences, one predict call
+    model = clf.ClassifierModel.create(corpus[:400], np.random.default_rng(3))
+    out = benchmark(clf.predict, model, corpus[400:450])
+    assert len(out) == 50
 
 
 def test_keywords_extract_top(benchmark, classified):

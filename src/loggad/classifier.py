@@ -11,7 +11,9 @@ The kernel takes a batch as its sequences' ``token_ids`` concatenated plus
 one length per sequence: mean pooling is one segment sum
 (``np.add.reduceat``), and the embedding gradient is one ``np.bincount``
 over (row, column) slots, which adds each slot's values in the order
-``np.add.at`` would. ``train`` looks each sequence's ids up once and runs
+``np.add.at`` would. ``token_ids`` looks tokens up in one C-level pass
+(``np.fromiter`` over ``map(vocab.get, ...)``), with no Python loop or
+intermediate list. ``train`` looks each sequence's ids up once and runs
 ``nn.fit``'s minibatch Adam loop over lists of them; ``model.params`` holds
 named views of Adam's one flat buffer. ``predict`` looks a block of
 sequences up with one ``token_ids`` call and runs the same pass; its dense
@@ -26,7 +28,7 @@ import json
 import zipfile
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
 
@@ -76,7 +78,8 @@ class ClassifierModel:
         return hashlib.sha256(payload).hexdigest()
 
     def token_ids(self, tokens: Iterable[str]) -> np.ndarray:
-        return np.array([self.vocab.get(t, UNK) for t in tokens], dtype=np.int64)
+        """Each token's embedding row, UNK for a token outside the vocabulary."""
+        return np.fromiter(map(self.vocab.get, tokens, repeat(UNK)), dtype=np.int64)
 
     def save(self, path) -> None:
         nn.save_checkpoint(

@@ -15,7 +15,7 @@ import sys
 from collections import deque
 from contextlib import closing
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator
@@ -52,6 +52,12 @@ REPORT_ENTRY = {
     "keywords_path": ("a str", lambda v: isinstance(v, str)),
     "loss": ("an object", lambda v: isinstance(v, dict)),
     "flagged": ("an int", lambda v: type(v) is int),
+    # iteration 1's seed coverage divides by the sum, so it must be above 0
+    "pseudo_counts": (
+        "an object of int with a positive sum",
+        lambda v: isinstance(v, dict) and all(type(n) is int for n in v.values())
+        and sum(v.values()) > 0,
+    ),
     "keyword_warnings": (
         "a list of str", lambda v: isinstance(v, list) and all(isinstance(w, str) for w in v)
     ),
@@ -309,6 +315,12 @@ def cmd_report(args) -> int:
         warnings = "; ".join(entry["keyword_warnings"]) or "none"
         print(f"  iteration {entry['iteration']}: flagged={entry['flagged']}; "
               f"keyword warnings: {warnings}")
+    if iterations:
+        # iteration 1 votes by the seed split, so it flags exactly the sequences with no seed word
+        first = iterations[0]
+        total = sum(first["pseudo_counts"].values())
+        print(f"seed coverage: {1 - first['flagged'] / total:.1%} of iteration "
+              f"{first['iteration']}'s {total} sequences hold a seed word")
     if manifest.get("stop_reason"):
         print(f"stopped early: {manifest['stop_reason']}")
     return EXIT_OK
@@ -329,6 +341,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+@cache  # built on main's first call and reused: argparse keeps no state between parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="loggad")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -343,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="optional label file: per block for hdfs, per line (from 0) for "
         "plain/hadoop/openstack; bgl/thunderbird carry inline tags",
     )
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     p.add_argument("--n", type=int, default=2000)
@@ -351,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=2)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="run the iterative training pipeline")
     p.add_argument("--sequences", required=True)
@@ -363,33 +374,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed-keywords",
         help="comma-separated anomaly seed words; required unless the config sets seed_keywords",
     )
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("detect", help="predict with a trained model")
     p.add_argument("--model-dir", required=True)
     p.add_argument("--sequences", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("report", help="keyword evolution and drift report for a run")
     p.add_argument("--run-dir", required=True)
     p.add_argument("--top", type=int, default=12)
     p.add_argument("--out", help="gamma CSV path (default: run_dir/gamma.csv)")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("eval", help="score predictions against gold labels")
     p.add_argument("--predictions", required=True)
     p.add_argument("--gold", required=True, help="sequence JSONL with gold_label")
     p.add_argument("--out", help="metrics JSON path")
-    p.set_defaults(func=cmd_eval)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up by name on every call, so a cmd_* patched after the first call is the one that runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT

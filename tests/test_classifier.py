@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from loggad import classifier as clf
+from loggad import evaluation as ev
 from loggad import nn
 from loggad.annotator import PseudoLabel
 from loggad.classifier import ClassifierError, ClassifierModel
@@ -173,6 +174,28 @@ class TestForward:
         corpus = seqs(["a"])
         model = ClassifierModel.create(corpus, np.random.default_rng(0))
         assert model.token_ids(["never_seen", "a"]).tolist() == [clf.UNK, 1]
+
+
+class TestTokenIds:
+    def test_int64_unk_and_empty(self):
+        model = ClassifierModel.create(seqs(["a", "b"]), np.random.default_rng(0))
+        ids = model.token_ids(iter(["b", "never_seen", "a", "b"]))  # any iterable, read once
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [2, clf.UNK, 1, 2]
+        for empty in ([], iter(()), (t for t in "")):
+            out = model.token_ids(empty)
+            assert out.shape == (0,) and out.dtype == np.int64
+
+    def test_matches_a_per_token_dict_lookup_on_a_synthetic_corpus(self):
+        spec = ev.SyntheticSpec(n_sequences=300, noise_rate=0.2, seed=7)
+        corpus = ev.generate_synthetic(spec)
+        model = ClassifierModel.create(corpus[:100], np.random.default_rng(0))
+        unseen = 0
+        for seq in corpus:
+            expected = np.array([model.vocab.get(t, clf.UNK) for t in seq.tokens], dtype=np.int64)
+            np.testing.assert_array_equal(model.token_ids(seq.tokens), expected)
+            unseen += int((expected == clf.UNK).sum())
+        assert unseen > 0  # the held-out sequences hold words the first 100 do not
 
 
 class TestTrain:

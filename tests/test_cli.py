@@ -202,6 +202,11 @@ class TestTrainDetectReportEval:
                 f"  iteration {entry['iteration']}: flagged={entry['flagged']}; "
                 f"keyword warnings: {warnings}"
             )
+        # seed coverage, counted from the corpus itself
+        seeded = sum(bool({"fault0_trap", "fault1_trap"} & set(s.tokens))
+                     for s in ingest.read_jsonl(synth_corpus))
+        assert (f"seed coverage: {seeded / 150:.1%} of iteration 1's 150 "
+                "sequences hold a seed word") in out.splitlines()
 
         # detect on the training corpus
         preds = tmp_path / "preds.jsonl"
@@ -743,7 +748,7 @@ class TestRunDirectoryFiles:
             # as a manifest written before it kept loss curves and fallback counts
             ({"iterations": [{"iteration": 1, "gamma": 0.5, "keywords_path": "keywords_001.json"}]},
              "every 'iterations' entry must be an object with the keys flagged, gamma, "
-             "iteration, keyword_warnings, keywords_path, loss"),
+             "iteration, keyword_warnings, keywords_path, loss, pseudo_counts"),
         ],
         ids=["empty", "entry-without-loss"],
     )
@@ -779,6 +784,11 @@ class TestRunDirectoryFiles:
             ("keyword_warnings", "none", "'keyword_warnings' is not a list of str"),
             ("keywords_path", 1, "'keywords_path' is not a str"),
             ("loss", [], "'loss' is not an object"),
+            ("pseudo_counts", [3], "'pseudo_counts' is not an object of int with a positive sum"),
+            ("pseudo_counts", {"0": 1.5},
+             "'pseudo_counts' is not an object of int with a positive sum"),
+            ("pseudo_counts", {"0": 0, "1": 0},
+             "'pseudo_counts' is not an object of int with a positive sum"),
             ("loss.classifier", {"first": 1.0},
              "'loss.classifier' is not null or an object of numeric first, min and last"),
             ("loss.pretrain", 0.5,
@@ -950,3 +960,62 @@ def test_eval_prediction_missing_a_gold_id_exits_1(tmp_path, capsys):
     preds.write_text('{"id": "s0", "label": 0}\n{"id": "s2", "label": 0}\n')
     assert run(["eval", "--predictions", str(preds), "--gold", str(gold)]) == EXIT_ERROR
     assert "prediction/gold id mismatch (1 ids differ)" in capsys.readouterr().err
+
+
+class TestOneParserPerProcess:
+    """``main`` parses with one parser per process; each call still runs the
+    handler the module holds then, and no value leaks from an earlier call."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_handler_patched_after_a_call_is_the_one_that_runs(
+        self, tmp_path, model_dir, monkeypatch
+    ):
+        path = tmp_path / "seqs.jsonl"
+        ingest.write_jsonl(random_sequences(10), path)
+        assert detect(model_dir, path, tmp_path / "a.jsonl") == EXIT_OK
+        calls = []
+
+        def patched(args):
+            calls.append(args.out)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_detect", patched)
+        assert detect(model_dir, path, tmp_path / "b.jsonl") == 7
+        assert calls == [str(tmp_path / "b.jsonl")]
+        assert not (tmp_path / "b.jsonl").exists()
+
+    def test_calls_in_one_process_each_give_their_own_result(
+        self, tmp_path, counting_run, capsys
+    ):
+        model_dir = counting_run / "model"
+        with pytest.raises(SystemExit) as exc:  # --sequences and --out missing
+            run(["detect", "--model-dir", str(model_dir)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --sequences, --out" in (
+            capsys.readouterr().err
+        )
+
+        model = clf.ClassifierModel.load(model_dir / "classifier.npz")
+        for seed, n in ((1, 30), (2, 45)):
+            corpus = random_sequences(n, seed)
+            path = tmp_path / f"seqs_{seed}.jsonl"
+            ingest.write_jsonl(corpus, path)
+            out = tmp_path / f"preds_{seed}.jsonl"
+            assert detect(model_dir, path, out) == EXIT_OK
+            expected = "".join(clf.prediction_lines(clf.predict(model, corpus)))
+            assert out.read_text() == expected
+            assert capsys.readouterr().out == f"wrote {n} predictions to {out}\n"
+
+        # report takes no --out here: detect's --out must not reach it
+        assert report(counting_run) == EXIT_OK
+        after_detect = capsys.readouterr()
+        assert after_detect.err == ""
+        assert f"gamma series: {counting_run / 'gamma.csv'}\n" in after_detect.out
+        gamma_csv = (counting_run / "gamma.csv").read_bytes()
+        (counting_run / "gamma.csv").unlink()
+        cli.build_parser.cache_clear()  # the same report from a parser built for it alone
+        assert report(counting_run) == EXIT_OK
+        assert capsys.readouterr() == after_detect
+        assert (counting_run / "gamma.csv").read_bytes() == gamma_csv
