@@ -260,11 +260,11 @@ def finetune(
     graph: EventGraph,
     keywords: KeywordSet,
     epochs: int,
-    lr: float = 1e-4,
     batch_size: int = 20,
     rng: Optional[np.random.Generator] = None,
-    margin: float = 0.0,
     *,
+    lr: float,
+    margin: float,
     prior: Mapping[str, int],
 ) -> list[float]:
     """Fine-tune on sequence subgraphs.

@@ -49,8 +49,6 @@ class ClassifierError(ValueError):
 class ClassifierModel:
     params: nn.Params
     vocab: dict[str, int]  # token -> embedding row; row 0 is UNK
-    embed_dim: int
-    hidden: int
 
     @classmethod
     def create(
@@ -69,7 +67,7 @@ class ClassifierModel:
             "W2": nn.xavier(rng, hidden, 2),
             "b2": np.zeros(2),
         }
-        return cls(params=params, vocab=vocab, embed_dim=embed_dim, hidden=hidden)
+        return cls(params=params, vocab=vocab)
 
     @property
     def vocab_hash(self) -> str:
@@ -82,13 +80,14 @@ class ClassifierModel:
         return np.fromiter(map(self.vocab.get, tokens, repeat(UNK)), dtype=np.int64)
 
     def save(self, path) -> None:
+        embed_dim, hidden = self.params["W1"].shape
         nn.save_checkpoint(
             path,
             self.params,
             {
                 "kind": "classifier",
-                "embed_dim": self.embed_dim,
-                "hidden": self.hidden,
+                "embed_dim": embed_dim,
+                "hidden": hidden,
                 "vocab": list(self.vocab),  # in row order, as create and load build it
                 "vocab_hash": self.vocab_hash,
             },
@@ -116,7 +115,7 @@ class ClassifierModel:
         if problem:
             raise ClassifierError(f"{path}: not a loggad classifier checkpoint: {problem}")
         vocab = {tok: i + 1 for i, tok in enumerate(words)}
-        model = cls(params=params, vocab=vocab, embed_dim=embed_dim, hidden=hidden)
+        model = cls(params=params, vocab=vocab)
         if meta.get("vocab_hash") != model.vocab_hash:
             raise ClassifierError(f"{path}: checkpoint vocabulary hash mismatch")
         return model

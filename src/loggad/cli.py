@@ -23,7 +23,7 @@ from typing import Iterator
 from loggad import classifier as clf
 from loggad import evaluation as ev
 from loggad import ingest
-from loggad.pipeline import PipelineConfig, PipelineError, run_pipeline, word_list
+from loggad.pipeline import LOSS_PHASES, PipelineConfig, PipelineError, run_pipeline, word_list
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -31,7 +31,6 @@ EXIT_MISSING_INPUT = 2
 EXIT_VOCAB_MISMATCH = 3
 
 POOL_MIN_BLOCKS = 3  # below this many blocks, forking the pool costs what it saves
-LOSS_PHASES = ("pretrain", "finetune", "classifier")
 
 
 def _is_number(value) -> bool:
@@ -83,17 +82,12 @@ def _require_file(path: str | Path) -> Path:
 
 
 def _run_json(path: Path, **types: type) -> dict:
-    """The JSON object in a run-directory file, each key of ``types``
-    holding a value of that type; anything else raises ValueError (exit 1)
-    naming the file."""
+    """``ingest.json_object`` of a UTF-8 run-directory file; anything else
+    raises ValueError (exit 1) naming the file."""
     try:
-        obj = ingest.json_object(_require_file(path).read_text())
-        for key, typ in types.items():
-            if not isinstance(obj.get(key), typ):
-                raise ValueError(f"{key!r} is missing or not a {typ.__name__}")
+        return ingest.json_object(_require_file(path).read_text(encoding="utf-8"), **types)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return obj
 
 
 def _output_file(path: str) -> Path:
@@ -297,7 +291,7 @@ def cmd_report(args) -> int:
     gamma_rows = [(e["iteration"], e["gamma"]) for e in iterations]
     for iteration, gamma in gamma_rows:
         print(f"  iteration {iteration}: gamma={gamma:.4f}")
-    with open(csv_path, "w", newline="") as fh:
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "gamma"])
         writer.writerows(gamma_rows)

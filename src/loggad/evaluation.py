@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from operator import itemgetter
 from typing import Optional
@@ -39,19 +39,7 @@ class Metrics:
     flags: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "precision": self.precision,
-                "recall": self.recall,
-                "f1": self.f1,
-                "tp": self.tp,
-                "fp": self.fp,
-                "fn": self.fn,
-                "tn": self.tn,
-                "flags": self.flags,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def score(predictions: dict[str, int], gold: dict[str, int]) -> Metrics:
@@ -106,10 +94,8 @@ def read_predictions(path) -> dict[str, int]:
 
 
 def _prediction_from_json(line: str) -> tuple[str, int]:
-    obj = json_object(line)
-    sid, label = obj.get("id"), obj.get("label")
-    if not isinstance(sid, str):
-        raise ValueError("'id' is missing or not a str")
+    obj = json_object(line, id=str)
+    sid, label = obj["id"], obj.get("label")
     if type(label) is not int or label not in (0, 1):
         raise ValueError(f"'label' must be 0 or 1, got {label!r}")
     return sid, label
@@ -383,7 +369,8 @@ def load_loghub_sample(
     path, dataset_kind: str, label_path: Optional[str] = None
 ) -> list[RawLogRecord]:
     """Load a raw log file, such as a (possibly truncated) LogHub sample, into
-    one record per non-blank line, numbered from 0.
+    one record per non-blank line, numbered from 0. A line ends at ``\\n``
+    only, as in every other input file; a ``\\r`` before it is stripped.
 
     BGL/Thunderbird lines carry an inline alert tag: a leading "-" means
     normal, anything else marks the line anomalous; these kinds take no
@@ -408,10 +395,10 @@ def load_loghub_sample(
     records = []
     n_lines = 0
     labelled_blocks = set()  # block labels some record took
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as fh:
         for line_no, raw in enumerate(fh):
             n_lines += 1
-            text = raw.rstrip("\n")
+            text = raw.rstrip("\r\n")
             if not text.strip():
                 continue
             labelled = line_labels.pop(line_no, None)

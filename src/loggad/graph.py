@@ -26,10 +26,6 @@ class GraphError(ValueError):
     pass
 
 
-class EmptyGraphError(GraphError):
-    """No keyword occurs in the corpus; the iteration cannot proceed."""
-
-
 @dataclass
 class EventGraph:
     words: list[str]
@@ -151,7 +147,7 @@ def build(
     for seq in corpus:
         occurring.update(all_kw.intersection(seq.tokens))
     if not occurring:
-        raise EmptyGraphError("no keyword occurs in the corpus")
+        raise GraphError("no keyword occurs in the corpus")
 
     words = sorted(occurring)
     index = {w: i for i, w in enumerate(words)}

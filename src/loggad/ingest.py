@@ -69,11 +69,9 @@ def normalize_line(text: str) -> list[str]:
     sentinel (runs of length <= 4 are kept verbatim), then splits on
     whitespace/punctuation, keeping intra-word ``_ / .`` separators.
 
-    Raises NormalizationError when nothing survives (e.g. a
+    Raises NormalizationError when nothing survives (e.g. a blank or
     punctuation-only line).
     """
-    if not text.strip():
-        raise NormalizationError("empty line")
     lowered = _DIGIT_RUN.sub(f" {_PLACEHOLDER} ", text.lower())
     tokens = [
         NUM_SENTINEL if t == _PLACEHOLDER else t for t in _TOKEN.findall(lowered)
@@ -237,12 +235,12 @@ def numbered_lines(path, parse, error, keyed=None) -> Iterator[tuple[int, Any]]:
             yield n, item
 
 
-def json_object(line: str) -> dict:
-    """The JSON object in a text, one JSONL line or a whole file; anything
-    else raises ValueError, which names the line of a syntax error past
-    the first line."""
+def json_object(text: str, **types: type) -> dict:
+    """The JSON object in a text, one JSONL line or a whole file, each key
+    of ``types`` holding a value of that type; anything else raises
+    ValueError, which names the line of a syntax error past the first line."""
     try:
-        obj = json.loads(line)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         where = f"column {exc.colno}"
         if exc.lineno > 1:
@@ -250,6 +248,9 @@ def json_object(line: str) -> dict:
         raise ValueError(f"invalid JSON: {exc.msg} at {where}") from None
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
+    for key, typ in types.items():
+        if not isinstance(obj.get(key), typ):
+            raise ValueError(f"{key!r} is missing or not a {typ.__name__}")
     return obj
 
 
@@ -257,10 +258,7 @@ def sequence_from_json(line: str) -> LogSequence:
     """The sequence on one JSONL line: an object with a string ``id``, a
     non-empty list of string ``tokens`` and an optional ``gold_label`` of 0,
     1 or null; anything else raises ValueError."""
-    obj = json_object(line)
-    for key, typ in (("id", str), ("tokens", list)):
-        if not isinstance(obj.get(key), typ):
-            raise IngestError(f"{key!r} is missing or not a {typ.__name__}")
+    obj = json_object(line, id=str, tokens=list)
     tokens = obj["tokens"]
     try:
         "".join(tokens)  # the cheapest full check that every token is a str

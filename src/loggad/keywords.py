@@ -126,14 +126,11 @@ def drift(current: KeywordSet, previous: KeywordSet) -> float:
     disjoint. Not symmetric: the denominator is the size of the current
     set.
     """
-    cur = {(w, ANOMALY) for w, _ in current.anomaly} | {
-        (w, NORMAL) for w, _ in current.normal
-    }
+    cur, prev = (
+        {(w, c) for c in (NORMAL, ANOMALY) for w in ks.class_words(c)} for ks in (current, previous)
+    )
     if not cur:
         raise KeywordError("current keyword set is empty")
-    prev = {(w, ANOMALY) for w, _ in previous.anomaly} | {
-        (w, NORMAL) for w, _ in previous.normal
-    }
     return len(cur - prev) / len(cur)
 
 

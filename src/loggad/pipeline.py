@@ -17,6 +17,12 @@ flagged) everywhere else. Fine-tuning targets are the decisive keyword votes;
 a sequence whose vote falls below ``finetune_margin`` is trained toward the
 previous iteration's classifier label instead.
 
+An iteration's ``IterationRecord`` owns its outputs: its pseudo-labels,
+the classifier's predictions, the keywords extracted from them, their
+drift and the loss traces. Its run-directory files and manifest entry are
+written from it, and ``PipelineResult.predictions`` and ``pseudo_labels``
+are the last record's, the kept iteration.
+
 Gold labels never reach any of this: the corpus is stripped of them at the
 entry point, so poisoned gold labels cannot change anything before the
 evaluation stage.
@@ -127,7 +133,7 @@ class PipelineConfig:
         # default_section=None: [DEFAULT] is one more section, not inherited
         parser = configparser.ConfigParser(default_section=None)
         try:
-            if not parser.read(str(path)):
+            if not parser.read(str(path), encoding="utf-8"):
                 raise PipelineError(f"config file not found: {path}")
             items = [item for section in parser.sections() for item in parser[section].items()]
         except configparser.Error as exc:
@@ -147,13 +153,17 @@ class PipelineConfig:
         return cls(**values)
 
 
+# the training phases whose loss traces an IterationRecord holds, as ``<phase>_trace``
+LOSS_PHASES = ("pretrain", "finetune", "classifier")
+
+
 @dataclass
 class IterationRecord:
     iteration: int
-    keywords: KeywordSet
+    keywords: KeywordSet  # extracted from this iteration's predictions
     gamma: float
-    pseudo_counts: dict[int, int]
-    flagged: int  # pseudo-labels from a fallback path
+    pseudo_labels: list[ann.PseudoLabel]
+    predictions: list[tuple[str, int, float]]
     pretrain_trace: list[float]
     finetune_trace: list[float]
     classifier_trace: list[float]
@@ -163,11 +173,17 @@ class IterationRecord:
 @dataclass
 class PipelineResult:
     classifier: clf.ClassifierModel
-    records: list[IterationRecord]  # the last one holds the run's keywords
-    predictions: list[tuple[str, int, float]]
-    pseudo_labels: list[ann.PseudoLabel]
+    records: list[IterationRecord]  # the last one is the kept iteration
     converged: bool
     stop_reason: Optional[str] = None  # set when a degenerate iteration ended the run early
+
+    @property
+    def predictions(self) -> list[tuple[str, int, float]]:
+        return self.records[-1].predictions
+
+    @property
+    def pseudo_labels(self) -> list[ann.PseudoLabel]:
+        return self.records[-1].pseudo_labels
 
 
 def strip_gold(corpus: list[LogSequence]) -> list[LogSequence]:
@@ -216,9 +232,7 @@ def run_iteration(
     iteration: int,
     prior: Optional[dict[str, int]] = None,
     stopwords: Optional[frozenset[str]] = None,
-) -> tuple[
-    IterationRecord, clf.ClassifierModel, list[ann.PseudoLabel], list[tuple[str, int, float]]
-]:
+) -> tuple[IterationRecord, clf.ClassifierModel]:
     """One loop pass: graph, annotator, pseudo labels, classifier, keywords.
 
     ``prior`` holds the previous iteration's classifier labels by sequence
@@ -228,8 +242,9 @@ def run_iteration(
     ``stopwords`` replaces keyword extraction's default stopword list when
     given; ``run_pipeline`` loads it once from ``config.stopwords_path``.
     The annotator lives only inside this call; only its pseudo-labels leave
-    it. The record holds the new keywords. Raises ``SingleClassError`` when
-    the classifier predicts one class for every sequence.
+    it, in the record with the predictions, new keywords and loss traces.
+    Raises ``SingleClassError`` when the classifier predicts one class for
+    every sequence.
     """
     start = time.perf_counter()
     pretrain_trace: list[float] = []
@@ -299,22 +314,18 @@ def run_iteration(
     new_keywords = extract_top(
         classified, config.keywords_per_class, config.idf_exponent, stopwords=stopwords
     )
-    gamma = drift(new_keywords, keywords)
-    counts = {NORMAL: 0, ANOMALY: 0}
-    for pl in pseudo:
-        counts[pl.label] += 1
     record = IterationRecord(
         iteration=iteration,
         keywords=new_keywords,
-        gamma=gamma,
-        pseudo_counts=counts,
-        flagged=sum(pl.flagged for pl in pseudo),
+        gamma=drift(new_keywords, keywords),
+        pseudo_labels=pseudo,
+        predictions=predictions,
         pretrain_trace=pretrain_trace,
         finetune_trace=finetune_trace,
         classifier_trace=classifier_trace,
         seconds=time.perf_counter() - start,
     )
-    return record, classifier, pseudo, predictions
+    return record, classifier
 
 
 def run_pipeline(
@@ -345,19 +356,17 @@ def run_pipeline(
     keywords = bootstrap(corpus, config)
     records: list[IterationRecord] = []
     classifier = None
-    pseudo: list[ann.PseudoLabel] = []
-    predictions: list[tuple[str, int, float]] = []
     prior: Optional[dict[str, int]] = None
     converged = False
     stop_reason = None
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "keywords_000.json").write_text(keywords.to_json(0) + "\n")
+        (out / "keywords_000.json").write_text(keywords.to_json(0) + "\n", encoding="utf-8")
 
     for iteration in range(1, config.max_iterations + 1):
         try:
-            record, classifier, pseudo, predictions = run_iteration(
+            record, classifier = run_iteration(
                 corpus, keywords, config, iteration, prior=prior, stopwords=stopwords
             )
         except (
@@ -368,27 +377,21 @@ def run_pipeline(
                 stop_reason = f"iteration {iteration}: {exc}; kept iteration {iteration - 1}"
                 break
             if out is not None:
-                (out / "failure.json").write_text(
-                    json.dumps({"iteration": iteration, "error": str(exc)}) + "\n"
-                )
+                failure = json.dumps({"iteration": iteration, "error": str(exc)})
+                (out / "failure.json").write_text(failure + "\n", encoding="utf-8")
             raise PipelineError(f"iteration {iteration} failed: {exc}") from exc
         records.append(record)
         keywords = record.keywords
         if out is not None:
-            _write_iteration_artifacts(out, record, pseudo, predictions)
+            _write_iteration_artifacts(out, record)
         if record.gamma < config.drift_threshold:
             converged = True
             break
-        prior = {sid: label for sid, label, _ in predictions}
+        prior = {sid: label for sid, label, _ in record.predictions}
 
     assert classifier is not None
     result = PipelineResult(
-        classifier=classifier,
-        records=records,
-        predictions=predictions,
-        pseudo_labels=pseudo,
-        converged=converged,
-        stop_reason=stop_reason,
+        classifier=classifier, records=records, converged=converged, stop_reason=stop_reason
     )
     if out is not None:
         _write_manifest(out, config, corpus, result)
@@ -403,11 +406,12 @@ def corpus_hash(corpus: list[LogSequence]) -> str:
     return h.hexdigest()
 
 
-def _write_iteration_artifacts(out: Path, record, pseudo, predictions) -> None:
+def _write_iteration_artifacts(out: Path, record: IterationRecord) -> None:
     k = record.iteration
-    (out / f"keywords_{k:03d}.json").write_text(record.keywords.to_json(k) + "\n")
-    with open(out / f"pseudo_labels_{k:03d}.jsonl", "w") as fh:
-        for pl in pseudo:
+    keywords_text = record.keywords.to_json(k) + "\n"
+    (out / f"keywords_{k:03d}.json").write_text(keywords_text, encoding="utf-8")
+    with open(out / f"pseudo_labels_{k:03d}.jsonl", "w", encoding="utf-8") as fh:
+        for pl in record.pseudo_labels:
             fh.write(
                 json.dumps(
                     {
@@ -419,8 +423,8 @@ def _write_iteration_artifacts(out: Path, record, pseudo, predictions) -> None:
                 )
                 + "\n"
             )
-    with open(out / f"predictions_{k:03d}.jsonl", "w") as fh:
-        fh.writelines(clf.prediction_lines(predictions))
+    with open(out / f"predictions_{k:03d}.jsonl", "w", encoding="utf-8") as fh:
+        fh.writelines(clf.prediction_lines(record.predictions))
 
 
 def _loss_summary(trace: list[float]) -> Optional[dict[str, float]]:
@@ -446,25 +450,24 @@ def _write_manifest(out: Path, config: PipelineConfig, corpus, result: PipelineR
             {
                 "iteration": r.iteration,
                 "gamma": r.gamma,
-                "pseudo_counts": {str(k): v for k, v in r.pseudo_counts.items()},
-                "flagged": r.flagged,
+                "pseudo_counts": {
+                    str(c): sum(pl.label == c for pl in r.pseudo_labels) for c in (NORMAL, ANOMALY)
+                },
+                "flagged": sum(pl.flagged for pl in r.pseudo_labels),
                 "keyword_warnings": r.keywords.warnings,
                 "seconds": r.seconds,
                 "keywords_path": f"keywords_{r.iteration:03d}.json",
                 "pseudo_labels_path": f"pseudo_labels_{r.iteration:03d}.jsonl",
                 "predictions_path": f"predictions_{r.iteration:03d}.jsonl",
-                "loss": {
-                    "pretrain": _loss_summary(r.pretrain_trace),
-                    "finetune": _loss_summary(r.finetune_trace),
-                    "classifier": _loss_summary(r.classifier_trace),
-                },
+                "loss": {p: _loss_summary(getattr(r, f"{p}_trace")) for p in LOSS_PHASES},
             }
             for r in result.records
         ],
         "classifier_vocab_hash": result.classifier.vocab_hash,
         "model_dir": "model",
     }
-    (out / "config.json").write_text(json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
+    config_text = json.dumps(config.to_dict(), sort_keys=True, indent=2)
+    (out / "config.json").write_text(config_text + "\n", encoding="utf-8")
     tmp = out / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     tmp.replace(out / "manifest.json")

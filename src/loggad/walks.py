@@ -47,24 +47,15 @@ class WalkSample:
     subgraph: Subgraph
 
 
-def keyword_count(seq: LogSequence, keyword_words: set[str]) -> int:
-    """Keyword token occurrences in a sequence, counted with multiplicity.
-
-    It backs the walk-length statistics only. The keyword vote counts with
-    ``annotator.vote_counts``, where a word on both class lists counts once
-    for each class rather than once in all.
-    """
-    return sum(1 for tok in seq.tokens if tok in keyword_words)
-
-
 def fit_length_model(
     corpus: list[LogSequence], keywords: KeywordSet, l_max: int = 64
 ) -> WalkLengthModel:
-    """Mean and unbiased variance of per-sequence keyword counts."""
+    """Mean and unbiased variance of per-sequence keyword token counts. A word
+    on both class lists counts once here, but once per class in the vote."""
     if len(corpus) < 2:
         raise WalkError("need >= 2 sequences to estimate variance")
     words = keywords.all_words()
-    counts = np.array([keyword_count(seq, words) for seq in corpus], dtype=np.float64)
+    counts = np.array([sum(1 for t in seq.tokens if t in words) for seq in corpus], dtype=float)
     mu = counts.mean()
     sigma2 = counts.var(ddof=1)
     return WalkLengthModel(mu=float(mu), sigma2=float(sigma2), l_max=l_max)

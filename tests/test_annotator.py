@@ -383,7 +383,7 @@ class TestTraining:
     def test_finetune_reaches_vote_labels(self):
         corpus, ks, g, model = trainable_setup()
         trace = ann.finetune(model, corpus, g, ks, epochs=60, lr=1e-2,
-                             rng=np.random.default_rng(1), prior={})
+                             rng=np.random.default_rng(1), margin=0.0, prior={})
         assert trace[-1] < trace[0]
         labels = ann.annotate(model, corpus, g)
         votes = {s.id: vote(s, ks).label for s in corpus}
@@ -392,7 +392,7 @@ class TestTraining:
     def test_finetune_zero_epochs_is_noop(self):
         corpus, ks, g, model = trainable_setup()
         before = {k: v.copy() for k, v in model.params.items()}
-        trace = ann.finetune(model, corpus, g, ks, epochs=0, prior={})
+        trace = ann.finetune(model, corpus, g, ks, epochs=0, lr=1e-4, margin=0.0, prior={})
         assert trace == []
         assert all(np.array_equal(before[k], model.params[k]) for k in before)
 
@@ -400,7 +400,7 @@ class TestTraining:
         corpus, ks, g, model = trainable_setup()
         off_corpus = seqs(["unrelated", "words"])
         with pytest.raises(AnnotatorError):
-            ann.finetune(model, off_corpus, g, ks, epochs=1, prior={})
+            ann.finetune(model, off_corpus, g, ks, epochs=1, lr=1e-4, margin=0.0, prior={})
 
     def test_finetune_margin_gates_out_ambiguous_votes(self):
         # a sequence with a bare-majority vote is skipped as a target: a
@@ -425,7 +425,7 @@ class TestTraining:
         v = vote(three_two, ks)
         assert (v.n, v.a) == (2, 3)
         assert v.margin == 0.2
-        trace = ann.finetune(model, [three_two], g, ks, epochs=1,
+        trace = ann.finetune(model, [three_two], g, ks, epochs=1, lr=1e-4,
                              margin=PipelineConfig().finetune_margin, prior={})
         assert len(trace) == 1
 
@@ -476,11 +476,12 @@ class TestTraining:
         corpus = seqs(["ok", "up", "fail"], ["trap", "fail", "ok"])
         g = build(ks, corpus, 10)
         model = AnnotatorModel.create(g.features.shape[1], np.random.default_rng(0), 2, 8)
-        trace = ann.finetune(model, corpus, g, ks, epochs=1, margin=0.5,
+        trace = ann.finetune(model, corpus, g, ks, epochs=1, lr=1e-4, margin=0.5,
                              prior={"s0": NORMAL, "s1": ANOMALY})
         assert len(trace) == 1
         with pytest.raises(AnnotatorError):
-            ann.finetune(model, corpus, g, ks, epochs=1, margin=0.5, prior={"other": NORMAL})
+            ann.finetune(model, corpus, g, ks, epochs=1, lr=1e-4, margin=0.5,
+                         prior={"other": NORMAL})
 
     def test_finetune_margin_too_strict_rejected(self):
         # every vote here has margin 1/3, so a 0.5 gate leaves nothing
@@ -489,13 +490,13 @@ class TestTraining:
         g = build(ks, corpus, 10)
         model = AnnotatorModel.create(g.features.shape[1], np.random.default_rng(0), 2, 8)
         with pytest.raises(AnnotatorError):
-            ann.finetune(model, corpus, g, ks, epochs=1, margin=0.5, prior={})
+            ann.finetune(model, corpus, g, ks, epochs=1, lr=1e-4, margin=0.5, prior={})
 
     def test_finetune_invalid_margin_rejected(self):
         corpus, ks, g, model = trainable_setup()
         for bad in (-0.1, 1.0, 1.5):
             with pytest.raises(AnnotatorError):
-                ann.finetune(model, corpus, g, ks, epochs=1, margin=bad, prior={})
+                ann.finetune(model, corpus, g, ks, epochs=1, lr=1e-4, margin=bad, prior={})
 
     def test_pretrain_loss_decreases(self):
         corpus, ks, g, model = trainable_setup()
@@ -535,7 +536,7 @@ class TestTraining:
         corpus, ks, g, model = trainable_setup()
         model.params["head_W"][:] = np.nan
         with pytest.raises(nn.TrainingDiverged):
-            ann.finetune(model, corpus, g, ks, epochs=1, prior={})
+            ann.finetune(model, corpus, g, ks, epochs=1, lr=1e-4, margin=0.0, prior={})
 
 
 class TestAnnotate:

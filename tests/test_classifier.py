@@ -329,8 +329,8 @@ class TestCheckpoint:
             model.params,
             {
                 "kind": "classifier",
-                "embed_dim": model.embed_dim,
-                "hidden": model.hidden,
+                "embed_dim": model.params["W1"].shape[0],
+                "hidden": model.params["W1"].shape[1],
                 "vocab": sorted(model.vocab),
                 "vocab_hash": "not-the-real-hash",
             },

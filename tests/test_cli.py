@@ -3,13 +3,18 @@
 import concurrent.futures
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from loggad import classifier as clf
 from loggad import cli, ingest, nn
+from loggad import evaluation as ev
 from loggad import pipeline as pl
 from loggad.cli import (
     EXIT_ERROR,
@@ -858,6 +863,32 @@ class TestRunDirectoryFiles:
                     "--sequences", str(synth_corpus), "--out", str(tmp_path / "p.jsonl")])
         assert code == EXIT_ERROR
         assert f"error: {path}: expected a JSON object" in capsys.readouterr().err
+
+    def test_run_directory_is_utf8_under_an_ascii_locale(self, tmp_path):
+        # LC_ALL=C with UTF-8 mode off makes ASCII the locale's encoding, the
+        # default of open(); stdout stays UTF-8, so report can print the word
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONIOENCODING": "utf-8",
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+        def loggad(*argv):
+            done = subprocess.run([sys.executable, "-m", "loggad.cli", *map(str, argv)],
+                                  env=env, capture_output=True)
+            assert done.returncode == EXIT_OK, done.stderr.decode(errors="replace")
+            return done.stdout.decode()
+
+        sequences = ev.generate_synthetic(ev.SyntheticSpec(n_sequences=200, seed=2))
+        for seq in sequences:
+            seq.tokens = ["sérvice1" if tok == "svc80_ok" else tok for tok in seq.tokens]
+        corpus, run_dir, scored = tmp_path / "c.jsonl", tmp_path / "run", tmp_path / "s.jsonl"
+        ingest.write_jsonl(sequences, corpus)
+        ini = tmp_path / "cfg.ini"  # an input file, read as UTF-8 too
+        ini.write_text("[pipeline]\n# the sérvice1 corpus\nmax_iterations = 3\n", encoding="utf-8")
+        loggad(*train_args(corpus, run_dir, ["--config", ini]))
+        assert "sérvice1" in (run_dir / "keywords_001.json").read_text(encoding="utf-8")
+        assert "sérvice1" in loggad("report", "--run-dir", run_dir, "--top", 200)
+        loggad("detect", "--model-dir", run_dir / "model", "--sequences", corpus, "--out", scored)
+        last = json.loads((run_dir / "manifest.json").read_text())["iterations"][-1]
+        assert scored.read_bytes() == (run_dir / last["predictions_path"]).read_bytes()
 
     def test_report_missing_keywords_file_exits_2(self, counting_run, capsys):
         path = counting_run / "keywords_000.json"

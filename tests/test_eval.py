@@ -481,6 +481,32 @@ class TestLoaders:
             (3, "gamma � delta"),
         ]
 
+    def test_lines_end_at_newline_only(self, tmp_path):
+        # a lone "\r" is part of its line, so a label names the line `wc -l` counts
+        log = tmp_path / "raw.log"
+        log.write_bytes(b"first line\rstill first\nsecond line\nthird line\n")
+        labels = tmp_path / "lines.csv"
+        labels.write_text("1,1\n")
+        records = load_loghub_sample(log, "plain", label_path=labels)
+        assert [(r.line_no, r.text, r.gold_label) for r in records] == [
+            (0, "first line\rstill first", None),
+            (1, "second line", 1),
+            (2, "third line", None),
+        ]
+
+    def test_crlf_files_give_the_records_of_their_lf_copies(self, tmp_path):
+        paths = {}
+        for name, newline in (("lf", b"\n"), ("crlf", b"\r\n")):
+            log, labels = tmp_path / f"{name}.log", tmp_path / f"{name}.csv"
+            log.write_bytes(newline.join([b"alpha beta", b"", b"gamma delta", b"epsilon", b""]))
+            labels.write_bytes(newline.join([b"0,0", b"2,1", b""]))
+            paths[name] = (log, labels)
+        records = load_loghub_sample(paths["crlf"][0], "plain", label_path=paths["crlf"][1])
+        assert records == load_loghub_sample(paths["lf"][0], "plain", label_path=paths["lf"][1])
+        assert [(r.line_no, r.text, r.gold_label) for r in records] == [
+            (0, "alpha beta", 0), (2, "gamma delta", 1), (3, "epsilon", None)
+        ]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "x.log"
         path.write_text("\n\n")

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loggad.graph import (
-    EmptyGraphError,
     EventGraph,
     GraphError,
     build,
@@ -77,7 +76,7 @@ class TestBuild:
         assert g.words == ["present"]
 
     def test_no_occurring_keyword_is_hard_error(self):
-        with pytest.raises(EmptyGraphError):
+        with pytest.raises(GraphError, match="no keyword occurs in the corpus"):
             build(kwset(["ghost"], ["phantom"]), seqs(["real", "tokens"]), 5)
 
     def test_empty_keywords_rejected(self):

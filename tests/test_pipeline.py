@@ -524,10 +524,18 @@ class TestArtifacts:
         result = run_pipeline(corpus, fast_config(keywords_per_class=1000), out_dir=out)
         manifest = json.loads((out / "manifest.json").read_text())
         for entry, record in zip(manifest["iterations"], result.records, strict=True):
-            rows = (out / entry["pseudo_labels_path"]).read_text().splitlines()
-            assert entry["flagged"] == sum(json.loads(row)["flagged"] for row in rows)
+            rows = [json.loads(row) for row in
+                    (out / entry["pseudo_labels_path"]).read_text().splitlines()]
+            assert entry["flagged"] == sum(row["flagged"] for row in rows)
+            labels = [row["label"] for row in rows]
+            assert entry["pseudo_counts"] == {"0": labels.count(0), "1": labels.count(1)}
+            assert (out / entry["predictions_path"]).read_text() == "".join(
+                pl.clf.prediction_lines(record.predictions)
+            )
             assert entry["keyword_warnings"] == record.keywords.warnings
             assert len(entry["keyword_warnings"]) == 2
+        assert result.predictions is result.records[-1].predictions
+        assert result.pseudo_labels is result.records[-1].pseudo_labels
 
     def test_pseudo_label_files_parse(self, tmp_path):
         corpus, _ = tiny_corpus()

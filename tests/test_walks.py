@@ -12,7 +12,6 @@ from loggad.walks import (
     WalkLengthModel,
     WalkSampler,
     fit_length_model,
-    keyword_count,
     sample_walk,
 )
 
@@ -25,17 +24,15 @@ def seqs(*token_lists):
     return [LogSequence(id=f"s{i}", tokens=list(t)) for i, t in enumerate(token_lists)]
 
 
-class TestKeywordCount:
-    def test_counts_with_multiplicity(self):
-        s = LogSequence(id="x", tokens=["a", "a", "b", "c"])
-        assert keyword_count(s, {"a", "c"}) == 3
-
-    def test_zero_when_none_present(self):
-        s = LogSequence(id="x", tokens=["z"])
-        assert keyword_count(s, {"a"}) == 0
-
-
 class TestFitLengthModel:
+    def test_counts_with_multiplicity_and_a_word_on_both_lists_once(self):
+        # keyword counts [3, 0]: "a" twice and "c" once, though "a" is on
+        # both lists; "z" is no keyword -> mu = 1.5, unbiased variance = 4.5
+        corpus = seqs(["a", "a", "b", "c"], ["z"])
+        model = fit_length_model(corpus, kwset(["a", "c"], ["a"]))
+        assert model.mu == pytest.approx(1.5)
+        assert model.sigma2 == pytest.approx(4.5)
+
     def test_two_counts(self):
         # keyword counts [2, 4] -> mu = 3, unbiased variance = 2
         corpus = seqs(["k", "k", "x"], ["k", "k", "k", "k"])
