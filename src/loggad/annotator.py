@@ -16,16 +16,18 @@ the message passing. Training and ``annotate`` run this one pass.
 
 Training happens in two phases: self-supervised pre-training on random-walk
 subgraphs (predict the walk's start class), then fine-tuning on sequence
-subgraphs against decisive keyword-count votes, with the previous
+subgraphs toward ``targets``: decisive keyword-count votes, with the previous
 iteration's classifier labels standing in for indecisive ones. Both phases
 run through ``nn.fit``; they differ only in the batches they feed it. The
-trained model then pseudo-labels every sequence. ``vote_counts`` is the one
-keyword vote that fine-tuning and the counting-only ``vote_annotate`` read.
+trained model then labels the same subgraphs. ``vote_counts`` is the one
+keyword vote that ``targets`` and the counting-only ``vote_annotate`` read,
+and ``pseudo_labels`` the one cut from class shares to pseudo-labels that
+``vote_annotate`` (vote shares) and ``annotate`` (softmax rows) share.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
@@ -33,7 +35,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from loggad import nn
-from loggad.graph import EventGraph, induce_sequence_subgraph
 from loggad.ingest import LogSequence
 from loggad.keywords import ANOMALY, NORMAL, KeywordSet
 from loggad.walks import WalkSampler
@@ -192,8 +193,8 @@ def pretrain(
     model: AnnotatorModel,
     sampler: WalkSampler,
     steps: int,
-    batch_size: int = 20,
-    lr: float = 1e-4,
+    batch_size: int,
+    lr: float,
 ) -> list[float]:
     """Self-supervised pre-training: predict the start class of walks.
 
@@ -225,11 +226,6 @@ class Vote(NamedTuple):
         """Decisiveness of the vote: |A - N| / (A + N), 0 on abstain."""
         return abs(self.a - self.n) / (self.a + self.n) if self.n + self.a else 0.0
 
-    @property
-    def confidence(self) -> float:
-        """The winning class's share of keyword hits, 0.5 on abstain."""
-        return max(self.n, self.a) / (self.n + self.a) if self.n + self.a else 0.5
-
 
 def vote_counts(corpus: list[LogSequence], keywords: KeywordSet) -> list[Vote]:
     """The keyword term-frequency vote of every sequence, hits counted with
@@ -242,59 +238,66 @@ def vote_counts(corpus: list[LogSequence], keywords: KeywordSet) -> list[Vote]:
     ]
 
 
-def vote_annotate(corpus: list[LogSequence], keywords: KeywordSet) -> list[PseudoLabel]:
-    """Pseudo-label by keyword counting alone (no graph model).
+def pseudo_labels(
+    corpus: list[LogSequence], shares: Iterable[Optional[tuple[float, float]]]
+) -> list[PseudoLabel]:
+    """Each sequence's (Normal, Anomaly) share pair is labelled the larger
+    share's class, ties going to Normal, at that share; None (an abstention)
+    is Normal at 0.5, flagged. A pair, not one Anomaly score, because
+    ``1 - a/t`` and ``n/t`` can differ in the last bit."""
+    labels = []
+    for seq, pair in zip(corpus, shares, strict=True):
+        if pair is None:
+            labels.append(PseudoLabel(seq.id, NORMAL, 0.5, flagged=True))
+        else:
+            label = ANOMALY if pair[ANOMALY] > pair[NORMAL] else NORMAL
+            labels.append(PseudoLabel(seq.id, label, float(pair[label])))
+    return labels
 
-    Confidence is the winning class's share of keyword hits; abstentions
-    fall back to Normal at 0.5 and are flagged.
-    """
+
+def vote_annotate(corpus: list[LogSequence], keywords: KeywordSet) -> list[PseudoLabel]:
+    """Pseudo-label by keyword counting alone (no graph model): each class's
+    share of a sequence's keyword hits, None where the vote abstains."""
+    shares = [
+        (v.n / (v.n + v.a), v.a / (v.n + v.a)) if v.n + v.a else None
+        for v in vote_counts(corpus, keywords)
+    ]
+    return pseudo_labels(corpus, shares)
+
+
+def targets(
+    corpus: list[LogSequence], keywords: KeywordSet, margin: float, prior: Mapping[str, int]
+) -> list[Optional[int]]:
+    """The fine-tuning target of every sequence: its keyword vote if decisive
+    (margin at or above the threshold), else its ``prior`` label (the previous
+    iteration's classifier label by sequence id), None on abstain or without
+    one. An indecisive vote is never a target; the annotator exists to overrule it."""
+    if not 0.0 <= margin < 1.0:
+        raise AnnotatorError(f"margin must be in [0, 1), got {margin}")
     return [
-        PseudoLabel(seq.id, NORMAL if v.label is None else v.label, v.confidence, v.label is None)
+        None if v.label is None else v.label if v.margin >= margin else prior.get(seq.id)
         for seq, v in zip(corpus, vote_counts(corpus, keywords))
     ]
 
 
 def finetune(
     model: AnnotatorModel,
-    corpus: list[LogSequence],
-    graph: EventGraph,
-    keywords: KeywordSet,
+    subgraphs: list,
+    targets: list[Optional[int]],
     epochs: int,
-    batch_size: int = 20,
-    rng: Optional[np.random.Generator] = None,
-    *,
+    batch_size: int,
     lr: float,
-    margin: float,
-    prior: Mapping[str, int],
+    rng: np.random.Generator,
 ) -> list[float]:
-    """Fine-tune on sequence subgraphs.
-
-    A sequence whose keyword vote is decisive (margin at or above the
-    threshold) is trained toward that vote. An indecisive vote is never a
-    target: ambiguous votes are exactly the ones the annotator exists to
-    overrule. Such a sequence is trained toward its ``prior`` label instead
-    (sequence id -> class, the previous iteration's classifier labels).
-    Abstaining sequences (no keywords, hence empty subgraphs) are skipped.
-    Mutates the model in place and returns the loss trace.
-    """
-    if not 0.0 <= margin < 1.0:
-        raise AnnotatorError(f"margin must be in [0, 1), got {margin}")
-    pairs = []
-    for seq, vote in zip(corpus, vote_counts(corpus, keywords)):
-        label = vote.label if vote.margin >= margin else prior.get(seq.id)
-        if vote.label is None or label is None:
-            continue
-        sg = induce_sequence_subgraph(graph, seq)
-        if sg.is_empty:
-            continue
-        pairs.append((sg, label))
+    """Fine-tune each sequence subgraph toward its target, leaving out those
+    whose target is None. Mutates the model in place; returns the loss trace."""
+    pairs = [(sg, t) for sg, t in zip(subgraphs, targets, strict=True) if t is not None]
     if not pairs:
         raise AnnotatorError(
-            "no fine-tuning targets: keyword set does not cover the corpus, "
-            "or the margin threshold is too strict and no prior labels cover "
-            "the indecisive votes"
+            "no fine-tuning targets: keyword set does not cover the corpus, or the margin "
+            "is too strict and no prior label covers an indecisive vote"
         )
-    batches = nn.minibatches(pairs, epochs, batch_size, rng or np.random.default_rng(0))
+    batches = nn.minibatches(pairs, epochs, batch_size, rng)
     return nn.fit(model.params, partial(loss_and_grads, model), batches, lr, "annotator")
 
 
@@ -302,29 +305,19 @@ ANNOTATE_BLOCK = 32  # sequences per batched forward pass in annotate
 
 
 def annotate(
-    model: AnnotatorModel,
-    corpus: list[LogSequence],
-    graph: EventGraph,
+    model: AnnotatorModel, corpus: list[LogSequence], subgraphs: list
 ) -> list[PseudoLabel]:
-    """Pseudo-label every sequence.
+    """Pseudo-label every sequence from its subgraph (``subgraphs[i]`` is ``corpus[i]``'s).
 
-    Subgraphs go through the batched forward pass a block of sequences at
-    a time. A sequence whose subgraph is empty holds no graph vertex, so
-    on the corpus the graph was built from its keyword vote abstains too;
-    it gets Normal with confidence 0.5 and is flagged.
+    A block's non-empty subgraphs share one batched forward pass (a row's
+    bits depend on its batch) and their softmax rows go to ``pseudo_labels``.
+    An empty subgraph is an abstention: on the corpus the graph was built
+    from, its keyword vote abstains too.
     """
-    labels = []
-    for start in range(0, len(corpus), ANNOTATE_BLOCK):
-        block = corpus[start : start + ANNOTATE_BLOCK]
-        sgs = [induce_sequence_subgraph(graph, seq) for seq in block]
-        scored = [sg for sg in sgs if not sg.is_empty]
-        probs = iter(nn.softmax(forward(model, scored)) if scored else ())
-        for seq, sg in zip(block, sgs):
-            if sg.is_empty:
-                labels.append(PseudoLabel(seq.id, NORMAL, 0.5, flagged=True))
-                continue
-            row = next(probs)
-            label = int(np.argmax(row))
-            labels.append(PseudoLabel(seq.id, label, float(row[label])))
-    return labels
-
+    shares = []
+    for start in range(0, len(subgraphs), ANNOTATE_BLOCK):
+        block = subgraphs[start : start + ANNOTATE_BLOCK]
+        scored = [sg for sg in block if not sg.is_empty]
+        rows = iter(nn.softmax(forward(model, scored)) if scored else ())
+        shares.extend(None if sg.is_empty else next(rows) for sg in block)
+    return pseudo_labels(corpus, shares)

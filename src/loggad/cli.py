@@ -261,6 +261,12 @@ def _score_in_worker(block):
     return _worker_score(block)
 
 
+def _echo(line: str) -> None:
+    """print(), backslash-escaping what stdout's encoding (an ASCII locale's, say) cannot hold."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def cmd_report(args) -> int:
     if args.top < 1:
         raise ValueError(f"--top must be >= 1, got {args.top}")
@@ -276,7 +282,7 @@ def cmd_report(args) -> int:
             raise ValueError(f"{manifest_path}: iterations[{i}]: {problem}")
     csv_path = _output_file(args.out) if args.out else run_dir / "gamma.csv"
 
-    print("keyword evolution (top anomaly keywords per iteration)")
+    _echo("keyword evolution (top anomaly keywords per iteration)")
     files = [(0, "keywords_000.json")] + [(e["iteration"], e["keywords_path"]) for e in iterations]
     for iteration, name in files:
         anomaly = _run_json(run_dir / name, anomaly=list)["anomaly"]
@@ -285,38 +291,38 @@ def cmd_report(args) -> int:
             raise ValueError(f"{run_dir / name}: 'anomaly' holds an entry that is not "
                              "a [str, number] pair")
         top = ", ".join(w for w, _ in anomaly[: args.top])
-        print(f"  iteration {iteration}: {top}")
+        _echo(f"  iteration {iteration}: {top}")
 
-    print("keyword drift per iteration")
+    _echo("keyword drift per iteration")
     gamma_rows = [(e["iteration"], e["gamma"]) for e in iterations]
     for iteration, gamma in gamma_rows:
-        print(f"  iteration {iteration}: gamma={gamma:.4f}")
+        _echo(f"  iteration {iteration}: gamma={gamma:.4f}")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "gamma"])
         writer.writerows(gamma_rows)
-    print(f"gamma series: {csv_path}")
-    print("loss per iteration (first / min / last; - for a phase that took no step)")
+    _echo(f"gamma series: {csv_path}")
+    _echo("loss per iteration (first / min / last; - for a phase that took no step)")
     for entry in iterations:
         curves = []
         for phase in LOSS_PHASES:
             c = entry["loss"][phase]
             summary = "-" if c is None else f"{c['first']:.4g} / {c['min']:.4g} / {c['last']:.4g}"
             curves.append(f"{phase} {summary}")
-        print(f"  iteration {entry['iteration']}: " + "; ".join(curves))
-    print("fallback pseudo-labels and keyword warnings per iteration")
+        _echo(f"  iteration {entry['iteration']}: " + "; ".join(curves))
+    _echo("fallback pseudo-labels and keyword warnings per iteration")
     for entry in iterations:
         warnings = "; ".join(entry["keyword_warnings"]) or "none"
-        print(f"  iteration {entry['iteration']}: flagged={entry['flagged']}; "
+        _echo(f"  iteration {entry['iteration']}: flagged={entry['flagged']}; "
               f"keyword warnings: {warnings}")
     if iterations:
         # iteration 1 votes by the seed split, so it flags exactly the sequences with no seed word
         first = iterations[0]
         total = sum(first["pseudo_counts"].values())
-        print(f"seed coverage: {1 - first['flagged'] / total:.1%} of iteration "
+        _echo(f"seed coverage: {1 - first['flagged'] / total:.1%} of iteration "
               f"{first['iteration']}'s {total} sequences hold a seed word")
     if manifest.get("stop_reason"):
-        print(f"stopped early: {manifest['stop_reason']}")
+        _echo(f"stopped early: {manifest['stop_reason']}")
     return EXIT_OK
 
 

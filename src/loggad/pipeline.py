@@ -13,9 +13,11 @@ The first iteration pseudo-labels by the keyword vote in every mode, as
 counting mode does in all of them. Its only keywords are the seed words,
 so its graph would hold only Anomaly vertices, and its vote is the seed
 split: Anomaly where a seed word occurs, an abstention (Normal at 0.5,
-flagged) everywhere else. Fine-tuning targets are the decisive keyword votes;
-a sequence whose vote falls below ``finetune_margin`` is trained toward the
-previous iteration's classifier label instead.
+flagged) everywhere else. From iteration 2 on, each sequence's subgraph is
+induced once; fine-tuning trains it toward ``annotator.targets`` (the
+decisive keyword votes, and the previous iteration's classifier label where
+a vote falls below ``finetune_margin``), and ``annotator.annotate`` labels
+the same subgraphs.
 
 An iteration's ``IterationRecord`` owns its outputs: its pseudo-labels,
 the classifier's predictions, the keywords extracted from them, their
@@ -275,19 +277,17 @@ def run_iteration(
                 batch_size=config.annotator_batch,
                 lr=config.annotator_lr,
             )
+        subgraphs = [eg.induce_sequence_subgraph(g, seq) for seq in corpus]
         finetune_trace = ann.finetune(
             annotator_model,
-            corpus,
-            g,
-            keywords,
+            subgraphs,
+            ann.targets(corpus, keywords, margin=config.finetune_margin, prior=prior),
             epochs=config.finetune_epochs,
-            lr=config.finetune_lr,
             batch_size=config.annotator_batch,
+            lr=config.finetune_lr,
             rng=_rng(config.seed, iteration, 3),
-            margin=config.finetune_margin,
-            prior=prior,
         )
-        pseudo = ann.annotate(annotator_model, corpus, g)
+        pseudo = ann.annotate(annotator_model, corpus, subgraphs)
 
     classifier = clf.ClassifierModel.create(
         corpus,

@@ -365,6 +365,50 @@ class TestVote:
         assert labels[1].label == NORMAL and labels[1].flagged
 
 
+
+class TestPseudoLabels:
+    KS = TestVote.KS
+
+    def test_larger_share_wins_at_its_share(self):
+        labels = ann.pseudo_labels(seqs(["x"], ["y"]), [(0.25, 0.75), np.array([0.9, 0.1])])
+        assert [(pl.label, pl.confidence, pl.flagged) for pl in labels] == [
+            (ANOMALY, 0.75, False), (NORMAL, 0.9, False)
+        ]
+        assert type(labels[1].confidence) is float
+
+    def test_ties_go_to_normal(self):
+        # a 1-1 vote and an even probability row are both Normal at 0.5, not flagged
+        tie_vote = vote_annotate(seqs(["ok", "fail"]), self.KS)[0]
+        tie_row = ann.pseudo_labels(seqs(["x"]), [np.array([0.5, 0.5])])[0]
+        for pl in (tie_vote, tie_row):
+            assert (pl.label, pl.confidence, pl.flagged) == (NORMAL, 0.5, False)
+
+    def test_abstention_is_normal_at_half_flagged(self):
+        pl = ann.pseudo_labels(seqs(["x"]), [None])[0]
+        assert (pl.sequence_id, pl.label, pl.confidence, pl.flagged) == ("s0", NORMAL, 0.5, True)
+
+    def test_one_share_pair_per_sequence(self):
+        with pytest.raises(ValueError):
+            ann.pseudo_labels(seqs(["x"], ["y"]), [None])
+
+    def test_vote_annotate_is_the_per_vote_rule(self):
+        # the rule vote_annotate replaced: the winning class's share of the
+        # hits, ties to Normal, and Normal at 0.5 flagged on abstain; equal
+        # to the last bit, since confidences are written to the run directory
+        rng = np.random.default_rng(8)
+        counts = rng.integers(0, 9, size=(2000, 2))
+        corpus = seqs(*(["zzz"] + ["ok"] * n + ["fail"] * a for n, a in counts.tolist()))
+        expected = []
+        for seq, (n, a) in zip(corpus, counts.tolist()):
+            if n + a == 0:
+                expected.append(ann.PseudoLabel(seq.id, NORMAL, 0.5, True))
+            else:
+                expected.append(ann.PseudoLabel(seq.id, ANOMALY if a > n else NORMAL,
+                                                max(n, a) / (n + a), False))
+        assert vote_annotate(corpus, self.KS) == expected
+        assert sum(pl.flagged for pl in expected) > 0
+
+
 def trainable_setup(seed=0):
     """Two clean keyword clusters; votes are perfectly consistent."""
     corpus = seqs(
@@ -379,20 +423,82 @@ def trainable_setup(seed=0):
     return corpus, ks, g, model
 
 
+def subgraphs(g, corpus):
+    return [induce_sequence_subgraph(g, seq) for seq in corpus]
+
+
+def finetune_on(model, corpus, g, ks, epochs, lr, margin=0.0, prior=None, seed=0):
+    """Fine-tune as an iteration does: the corpus's subgraphs toward its targets."""
+    targets = ann.targets(corpus, ks, margin, prior or {})
+    return ann.finetune(model, subgraphs(g, corpus), targets, epochs=epochs, batch_size=20,
+                        lr=lr, rng=np.random.default_rng(seed))
+
+
+class TestTargets:
+    KS = kwset(["ok", "up"], ["fail", "trap"])
+    AMBIGUOUS = ["fail", "ok", "up", "trap", "up"]  # Normal by 3 to 2: margin 0.2
+
+    def test_decisive_vote_is_the_target_whatever_the_prior(self):
+        corpus = seqs(["fail", "fail", "fail", "ok"], ["ok", "up", "ok"])
+        assert ann.targets(corpus, self.KS, 0.5, {}) == [ANOMALY, NORMAL]
+        assert ann.targets(corpus, self.KS, 0.5, {"s0": NORMAL, "s1": ANOMALY}) == [ANOMALY, NORMAL]
+
+    def test_indecisive_vote_takes_the_prior_or_none(self):
+        corpus = seqs(self.AMBIGUOUS)
+        assert vote(corpus[0], self.KS).label == NORMAL
+        assert ann.targets(corpus, self.KS, 0.5, {}) == [None]
+        assert ann.targets(corpus, self.KS, 0.5, {"s0": ANOMALY}) == [ANOMALY]
+        assert ann.targets(corpus, self.KS, 0.5, {"other": ANOMALY}) == [None]
+
+    def test_abstain_is_none_even_with_a_prior(self):
+        corpus = seqs(["zzz"])
+        for margin in (0.0, 0.5):
+            assert ann.targets(corpus, self.KS, margin, {"s0": ANOMALY}) == [None]
+
+    def test_three_to_two_vote_passes_the_default_gate(self):
+        # |3 - 2| / 5 is exactly 0.2, while 2 * (3 / 5) - 1 falls just below
+        corpus = seqs(["fail", "ok", "trap", "up", "fail"])
+        v = vote(corpus[0], self.KS)
+        assert (v.n, v.a) == (2, 3)
+        assert v.margin == 0.2
+        margin = PipelineConfig().finetune_margin
+        assert ann.targets(corpus, self.KS, margin, {"s0": NORMAL}) == [ANOMALY]
+
+    def test_prior_does_not_override_decisive_votes(self):
+        # a prior only fills in indecisive votes: decisive ones keep their vote
+        corpus, ks, _, _ = trainable_setup()
+        votes = [vote(s, ks).label for s in corpus]
+        flipped = {s.id: 1 - label for s, label in zip(corpus, votes)}
+        assert ann.targets(corpus, ks, 0.5, flipped) == ann.targets(corpus, ks, 0.5, {}) == votes
+
+    def test_prior_rescues_too_strict_margin(self):
+        # every vote here has margin 1/3: a 0.5 gate alone leaves nothing,
+        # but prior labels for those sequences are targets
+        corpus = seqs(["ok", "up", "fail"], ["trap", "fail", "ok"])
+        assert ann.targets(corpus, self.KS, 0.5, {}) == [None, None]
+        assert ann.targets(corpus, self.KS, 0.5, {"s0": NORMAL, "s1": ANOMALY}) == [NORMAL, ANOMALY]
+        assert ann.targets(corpus, self.KS, 0.5, {"other": NORMAL}) == [None, None]
+
+    def test_invalid_margin_rejected(self):
+        corpus = seqs(["ok"])
+        for bad in (-0.1, 1.0, 1.5):
+            with pytest.raises(AnnotatorError):
+                ann.targets(corpus, self.KS, bad, {})
+
+
 class TestTraining:
     def test_finetune_reaches_vote_labels(self):
         corpus, ks, g, model = trainable_setup()
-        trace = ann.finetune(model, corpus, g, ks, epochs=60, lr=1e-2,
-                             rng=np.random.default_rng(1), margin=0.0, prior={})
+        trace = finetune_on(model, corpus, g, ks, epochs=60, lr=1e-2, seed=1)
         assert trace[-1] < trace[0]
-        labels = ann.annotate(model, corpus, g)
+        labels = ann.annotate(model, corpus, subgraphs(g, corpus))
         votes = {s.id: vote(s, ks).label for s in corpus}
         assert all(pl.label == votes[pl.sequence_id] for pl in labels)
 
     def test_finetune_zero_epochs_is_noop(self):
         corpus, ks, g, model = trainable_setup()
         before = {k: v.copy() for k, v in model.params.items()}
-        trace = ann.finetune(model, corpus, g, ks, epochs=0, lr=1e-4, margin=0.0, prior={})
+        trace = finetune_on(model, corpus, g, ks, epochs=0, lr=1e-4)
         assert trace == []
         assert all(np.array_equal(before[k], model.params[k]) for k in before)
 
@@ -400,7 +506,7 @@ class TestTraining:
         corpus, ks, g, model = trainable_setup()
         off_corpus = seqs(["unrelated", "words"])
         with pytest.raises(AnnotatorError):
-            ann.finetune(model, off_corpus, g, ks, epochs=1, lr=1e-4, margin=0.0, prior={})
+            finetune_on(model, off_corpus, g, ks, epochs=1, lr=1e-4)
 
     def test_finetune_margin_gates_out_ambiguous_votes(self):
         # a sequence with a bare-majority vote is skipped as a target: a
@@ -411,23 +517,11 @@ class TestTraining:
         assert vote(ambiguous, ks).label == NORMAL  # 2 vs 3, margin 0.2
         assert vote(ambiguous, ks).margin == pytest.approx(0.2)
         model = AnnotatorModel.create(g.features.shape[1], np.random.default_rng(0), 2, 8)
-        ann.finetune(model, corpus + [ambiguous], g, ks, epochs=60, lr=1e-2,
-                     rng=np.random.default_rng(1), margin=0.5, prior={})
+        finetune_on(model, corpus + [ambiguous], g, ks, epochs=60, lr=1e-2, margin=0.5, seed=1)
         labels = {pl.sequence_id: pl.label
-                  for pl in ann.annotate(model, corpus, g)}
+                  for pl in ann.annotate(model, corpus, subgraphs(g, corpus))}
         votes = {s.id: vote(s, ks).label for s in corpus}
         assert labels == votes  # decisive cluster is fitted as before
-
-    def test_three_to_two_vote_passes_the_default_gate(self):
-        # |3 - 2| / 5 is exactly 0.2, while 2 * (3 / 5) - 1 falls just below
-        corpus, ks, g, model = trainable_setup()
-        three_two = LogSequence(id="32", tokens=["fail", "ok", "trap", "up", "fail"])
-        v = vote(three_two, ks)
-        assert (v.n, v.a) == (2, 3)
-        assert v.margin == 0.2
-        trace = ann.finetune(model, [three_two], g, ks, epochs=1, lr=1e-4,
-                             margin=PipelineConfig().finetune_margin, prior={})
-        assert len(trace) == 1
 
     def test_finetune_prior_labels_indecisive_votes(self):
         # an indecisive vote is never the target, but a prior label is: the
@@ -441,62 +535,32 @@ class TestTraining:
 
         def fitted(prior):
             model = AnnotatorModel.create(g.features.shape[1], np.random.default_rng(0), 2, 8)
-            ann.finetune(model, corpus + [ambiguous], g, ks, epochs=60, lr=1e-2,
-                         rng=np.random.default_rng(1), margin=0.5, prior=prior)
+            finetune_on(model, corpus + [ambiguous], g, ks, epochs=60, lr=1e-2, margin=0.5,
+                        prior=prior, seed=1)
             return model
 
         amb_sg = induce_sequence_subgraph(g, ambiguous)
         without = nn.softmax(forward(fitted({}), [amb_sg]))[0, ANOMALY]
         with_prior = fitted({"amb": ANOMALY})
         assert nn.softmax(forward(with_prior, [amb_sg]))[0, ANOMALY] > max(without, 0.5)
+        everything = corpus + [ambiguous]
         labels = {pl.sequence_id: pl.label
-                  for pl in ann.annotate(with_prior, corpus + [ambiguous], g)}
+                  for pl in ann.annotate(with_prior, everything, subgraphs(g, everything))}
         assert labels["amb"] == ANOMALY
         votes = {s.id: vote(s, ks).label for s in corpus}
         assert {k: v for k, v in labels.items() if k != "amb"} == votes
 
-    def test_finetune_prior_does_not_override_decisive_votes(self):
-        # a prior only fills in indecisive votes: decisive ones keep their
-        # vote as the target, and a prior without indecisive sequences
-        # leaves training exactly as it was
-        corpus, ks, g, _ = trainable_setup()
-        flipped = {s.id: 1 - vote(s, ks).label for s in corpus}
-        params = []
-        for prior in ({}, flipped):
-            model = AnnotatorModel.create(g.features.shape[1], np.random.default_rng(0), 2, 8)
-            ann.finetune(model, corpus, g, ks, epochs=5, lr=1e-2,
-                         rng=np.random.default_rng(1), margin=0.5, prior=prior)
-            params.append(model.params)
-        assert all(np.array_equal(params[0][k], params[1][k]) for k in params[0])
-
-    def test_finetune_prior_rescues_too_strict_margin(self):
-        # every vote here has margin 1/3: a 0.5 gate alone leaves nothing,
-        # but prior labels for those sequences are targets
-        _, ks, _, _ = trainable_setup()
-        corpus = seqs(["ok", "up", "fail"], ["trap", "fail", "ok"])
-        g = build(ks, corpus, 10)
-        model = AnnotatorModel.create(g.features.shape[1], np.random.default_rng(0), 2, 8)
-        trace = ann.finetune(model, corpus, g, ks, epochs=1, lr=1e-4, margin=0.5,
-                             prior={"s0": NORMAL, "s1": ANOMALY})
-        assert len(trace) == 1
-        with pytest.raises(AnnotatorError):
-            ann.finetune(model, corpus, g, ks, epochs=1, lr=1e-4, margin=0.5,
-                         prior={"other": NORMAL})
-
     def test_finetune_margin_too_strict_rejected(self):
-        # every vote here has margin 1/3, so a 0.5 gate leaves nothing
+        # every vote here has margin 1/3, so a 0.5 gate without a prior leaves
+        # no target, and fine-tuning refuses to start
         _, ks, _, _ = trainable_setup()
         corpus = seqs(["ok", "up", "fail"], ["trap", "fail", "ok"])
         g = build(ks, corpus, 10)
         model = AnnotatorModel.create(g.features.shape[1], np.random.default_rng(0), 2, 8)
         with pytest.raises(AnnotatorError):
-            ann.finetune(model, corpus, g, ks, epochs=1, lr=1e-4, margin=0.5, prior={})
-
-    def test_finetune_invalid_margin_rejected(self):
-        corpus, ks, g, model = trainable_setup()
-        for bad in (-0.1, 1.0, 1.5):
-            with pytest.raises(AnnotatorError):
-                ann.finetune(model, corpus, g, ks, epochs=1, lr=1e-4, margin=bad, prior={})
+            finetune_on(model, corpus, g, ks, epochs=1, lr=1e-4, margin=0.5)
+        assert len(finetune_on(model, corpus, g, ks, epochs=1, lr=1e-4, margin=0.5,
+                               prior={"s0": NORMAL, "s1": ANOMALY})) == 1
 
     def test_pretrain_loss_decreases(self):
         corpus, ks, g, model = trainable_setup()
@@ -521,7 +585,7 @@ class TestTraining:
         sampler = WalkSampler(
             g, transition_probabilities(g), WalkLengthModel(3.0, 1.0), np.random.default_rng(2)
         )
-        assert len(ann.pretrain(model, sampler, steps=7, batch_size=6)) == 7
+        assert len(ann.pretrain(model, sampler, steps=7, batch_size=6, lr=1e-4)) == 7
         assert len(calls) == 42
 
     def test_pretrain_zero_steps_is_noop(self):
@@ -529,21 +593,21 @@ class TestTraining:
         policy = transition_probabilities(g)
         sampler = WalkSampler(g, policy, WalkLengthModel(2.0, 0.0), np.random.default_rng(0))
         before = {k: v.copy() for k, v in model.params.items()}
-        assert ann.pretrain(model, sampler, steps=0) == []
+        assert ann.pretrain(model, sampler, steps=0, batch_size=20, lr=1e-4) == []
         assert all(np.array_equal(before[k], model.params[k]) for k in before)
 
     def test_divergence_raises(self):
         corpus, ks, g, model = trainable_setup()
         model.params["head_W"][:] = np.nan
         with pytest.raises(nn.TrainingDiverged):
-            ann.finetune(model, corpus, g, ks, epochs=1, lr=1e-4, margin=0.0, prior={})
+            finetune_on(model, corpus, g, ks, epochs=1, lr=1e-4)
 
 
 class TestAnnotate:
     def test_empty_subgraph_labelled_normal_and_flagged(self):
         corpus, ks, g, model = trainable_setup()
         odd = [LogSequence(id="odd", tokens=["nothing", "here"])]
-        labels = ann.annotate(model, odd, g)
+        labels = ann.annotate(model, odd, subgraphs(g, odd))
         assert labels[0].label == NORMAL and labels[0].flagged
         assert labels[0].confidence == 0.5
 
@@ -572,7 +636,7 @@ class TestAnnotate:
 
     def test_labels_cover_corpus_in_order(self):
         corpus, ks, g, model = trainable_setup()
-        labels = ann.annotate(model, corpus, g)
+        labels = ann.annotate(model, corpus, subgraphs(g, corpus))
         assert [pl.sequence_id for pl in labels] == [s.id for s in corpus]
         assert all(pl.label in (0, 1) and 0.0 < pl.confidence <= 1.0 for pl in labels)
 
@@ -591,7 +655,7 @@ class TestAnnotate:
             )
             for i in range(3 * ann.ANNOTATE_BLOCK + 5)
         ]
-        labels = ann.annotate(model, many, g)
+        labels = ann.annotate(model, many, subgraphs(g, many))
         assert [pl.sequence_id for pl in labels] == [s.id for s in many]
         scored = 0
         for seq, pl in zip(many, labels):

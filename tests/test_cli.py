@@ -1,6 +1,7 @@
 """CLI commands: exit codes, golden files and determinism."""
 
 import concurrent.futures
+import io
 import json
 import multiprocessing
 import os
@@ -889,6 +890,29 @@ class TestRunDirectoryFiles:
         loggad("detect", "--model-dir", run_dir / "model", "--sequences", corpus, "--out", scored)
         last = json.loads((run_dir / "manifest.json").read_text())["iterations"][-1]
         assert scored.read_bytes() == (run_dir / last["predictions_path"]).read_bytes()
+
+    def test_report_escapes_what_an_ascii_stdout_cannot_print(self, tmp_path, monkeypatch):
+        # with no PYTHONIOENCODING, an ASCII locale makes stdout ASCII too:
+        # report prints a non-ASCII keyword escaped instead of failing on it
+        sequences = ev.generate_synthetic(ev.SyntheticSpec(n_sequences=150, seed=3))
+        for seq in sequences:
+            seq.tokens = ["fäult2_trap" if tok == "fault2_trap" else tok for tok in seq.tokens]
+        corpus, run_dir = tmp_path / "c.jsonl", tmp_path / "run"
+        ingest.write_jsonl(sequences, corpus)
+        assert run(train_args(corpus, run_dir)) == EXIT_OK
+        anomaly = json.loads((run_dir / "keywords_001.json").read_text(encoding="utf-8"))["anomaly"]
+        assert "fäult2_trap" in [w for w, _ in anomaly]
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env.pop("PYTHONIOENCODING", None)
+        done = subprocess.run([sys.executable, "-m", "loggad.cli", "report", "--run-dir",
+                               str(run_dir), "--top", "200"], env=env, capture_output=True)
+        assert done.returncode == EXIT_OK, done.stderr.decode(errors="replace")
+        assert b"f\\xe4ult2_trap" in done.stdout
+        out = io.StringIO()  # no encoding of its own: the word goes out as it is
+        monkeypatch.setattr(sys, "stdout", out)
+        assert run(["report", "--run-dir", str(run_dir), "--top", "200"]) == EXIT_OK
+        assert "fäult2_trap" in out.getvalue()
 
     def test_report_missing_keywords_file_exits_2(self, counting_run, capsys):
         path = counting_run / "keywords_000.json"

@@ -299,17 +299,17 @@ class TestRunPipeline:
         # the labels iteration k-1's trained classifier predicts on the corpus
         corpus, _ = tiny_corpus()
         priors, classifiers = [], []
-        finetune, train = pl.ann.finetune, pl.clf.train
+        targets, train = pl.ann.targets, pl.clf.train
 
         def capture_prior(*args, prior, **kwargs):
             priors.append(dict(prior))
-            return finetune(*args, prior=prior, **kwargs)
+            return targets(*args, prior=prior, **kwargs)
 
         def capture_classifier(model, *args, **kwargs):
             classifiers.append(model)
             return train(model, *args, **kwargs)
 
-        monkeypatch.setattr(pl.ann, "finetune", capture_prior)
+        monkeypatch.setattr(pl.ann, "targets", capture_prior)
         monkeypatch.setattr(pl.clf, "train", capture_classifier)
         # at 8 hidden units iteration 2 predicts all-Normal on this corpus,
         # which ends the run; at 16 both classes stay alive for three
@@ -325,6 +325,38 @@ class TestRunPipeline:
             expected = {sid: label for sid, label, _ in pl.clf.predict(classifiers[k - 2], stripped)}
             assert priors[k - 2] == expected
         assert result.predictions == pl.clf.predict(classifiers[-1], stripped)
+
+    def test_gin_iteration_induces_each_sequence_once(self, monkeypatch):
+        # fine-tuning and annotation read one list of subgraphs, one per
+        # sequence, so each subgraph's adjacency is gathered once
+        corpus, _ = tiny_corpus()
+        made, passed = [], {"finetune": [], "annotate": []}
+        post_init = pl.eg.Subgraph.__post_init__
+        finetune, annotate = pl.ann.finetune, pl.ann.annotate
+
+        def counted(sg):
+            made.append(sg)
+            post_init(sg)
+
+        def capture_finetune(model, subgraphs, *args, **kwargs):
+            passed["finetune"].append(subgraphs)
+            return finetune(model, subgraphs, *args, **kwargs)
+
+        def capture_annotate(model, corpus, subgraphs):
+            passed["annotate"].append(subgraphs)
+            return annotate(model, corpus, subgraphs)
+
+        monkeypatch.setattr(pl.eg.Subgraph, "__post_init__", counted)
+        monkeypatch.setattr(pl.ann, "finetune", capture_finetune)
+        monkeypatch.setattr(pl.ann, "annotate", capture_annotate)
+        cfg = fast_config(
+            annotator_mode="no_selfsup", max_iterations=2, drift_threshold=-1.0, gin_hidden=16
+        )
+        result = run_pipeline(corpus, cfg)
+        assert len(result.records) == 2  # iteration 1 votes; iteration 2 is the GIN's
+        [tuned], [labelled] = passed["finetune"], passed["annotate"]
+        assert len(made) == len(tuned) == len(labelled) == len(corpus)
+        assert all(a is b is c for a, b, c in zip(made, tuned, labelled))
 
     def single_class_from(self, monkeypatch, iteration):
         """Make classifier.predict return class NORMAL everywhere from the
